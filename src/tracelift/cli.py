@@ -121,10 +121,61 @@ def cmd_build(args, parser):
     return 0
 
 
+# The descriptor each sampled check evaluates.  It is built before the check
+# runs, so parameters the check cannot take are usage errors.
+DESCRIPTORS = {
+    "axioms": lambda n, l: None,
+    "lemma11": build_S_even,
+    "lemma12": build_S_even,
+    "thm11": build_Psi0,
+    "thm21": lambda n, l: build_Psi_n1(n),
+    "thm23": build_Psi_nl,
+    "key-lemma": build_Psi0,
+    "oracle": build_Psi0,
+}
+COCYCLES = {"thm11": "psi0_cocycle", "thm21": "psi_n1_cocycle",
+            "thm23": "psi_nl_cocycle"}
+
+
+def _run_check(check, args, parser) -> int:
+    """Run a sampled check and emit its report.  Bad parameters and a window
+    too shallow for an exact coefficient are usage errors, not failures."""
+    if args.trials < 1:
+        parser.error("--trials must be >= 1")
+    try:
+        ctx = _make_context(args, parser)
+        desc = DESCRIPTORS[check](args.n, args.l)
+    except ValueError as exc:
+        parser.error(str(exc))
+    n, l, trials, seed = args.n, args.l, args.trials, args.seed
+    try:
+        if check == "axioms":
+            rep = check_axioms(ctx, trials=trials, seed=seed)
+        elif check == "lemma11":
+            rep = verify_even_sum_vanishes(n, l, ctx, trials=trials, seed=seed)
+        elif check == "lemma12":
+            rep = verify_shortening_sign(n, l, ctx, trials=trials, seed=seed)
+        elif check == "key-lemma":
+            rep = verify_inner_tilde_cocycle(n, l, ctx, trials=trials, seed=seed)
+        elif check == "oracle":
+            rep = verify_oracle_agreement(n, l, ctx, trials=trials, seed=seed)
+        else:
+            params = {"n": n} if check == "thm21" else {"n": n, "l": l}
+            rep = verify_cocycle(desc, ctx, trials, seed,
+                                 check=COCYCLES[check], params=params)
+    except InsufficientWindowError as exc:
+        parser.error(str(exc))
+    _emit_report(rep.to_dict(), args.format, args.out)
+    return 0 if rep.passed else 1
+
+
 def cmd_verify(args, parser):
     check = args.check
     if check == "lemma111":
-        res = certify_leibniz_sum_identity(args.n, args.l)
+        try:
+            res = certify_leibniz_sum_identity(args.n, args.l)
+        except ValueError as exc:
+            parser.error(str(exc))
         ok = res["identity_holds"] and res["second_order_cancelled"]
         _emit_report({"check": "leibniz_sum_identity", "params": res,
                       "trials": [], "pass": ok}, args.format, args.out)
@@ -137,48 +188,13 @@ def cmd_verify(args, parser):
             parser.error(str(exc))
         _emit_report(rep.to_dict(), args.format, args.out)
         return 0 if rep.passed else 1
-
-    ctx = _make_context(args, parser)
-    if check == "axioms":
-        rep = check_axioms(ctx, trials=args.trials, seed=args.seed)
-    elif check == "lemma11":
-        rep = verify_even_sum_vanishes(args.n, args.l, ctx,
-                                       trials=args.trials, seed=args.seed)
-    elif check == "lemma12":
-        rep = verify_shortening_sign(args.n, args.l, ctx,
-                                     trials=args.trials, seed=args.seed)
-    elif check == "thm11":
-        rep = verify_cocycle(build_Psi0(args.n, args.l), ctx, args.trials,
-                             args.seed, check="psi0_cocycle",
-                             params={"n": args.n, "l": args.l})
-    elif check == "thm21":
-        try:
-            desc = build_Psi_n1(args.n)
-        except ValueError as exc:
-            parser.error(str(exc))
-        rep = verify_cocycle(desc, ctx, args.trials, args.seed,
-                             check="psi_n1_cocycle", params={"n": args.n})
-    elif check == "thm23":
-        rep = verify_cocycle(build_Psi_nl(args.n, args.l), ctx, args.trials,
-                             args.seed, check="psi_nl_cocycle",
-                             params={"n": args.n, "l": args.l})
-    elif check == "key-lemma":
-        rep = verify_inner_tilde_cocycle(args.n, args.l, ctx,
-                                         trials=args.trials, seed=args.seed)
-    else:
-        parser.error(f"unknown check {check!r}")
-    _emit_report(rep.to_dict(), args.format, args.out)
-    return 0 if rep.passed else 1
+    return _run_check(check, args, parser)
 
 
 def cmd_oracle(args, parser):
     if args.n + 2 * args.l > 8:
         parser.error("oracle comparison limited to n + 2l <= 8")
-    ctx = _make_context(args, parser)
-    rep = verify_oracle_agreement(args.n, args.l, ctx,
-                                  trials=args.trials, seed=args.seed)
-    _emit_report(rep.to_dict(), args.format, args.out)
-    return 0 if rep.passed else 1
+    return _run_check("oracle", args, parser)
 
 
 def _add_common(p):

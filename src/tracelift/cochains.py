@@ -7,20 +7,27 @@ A descriptor is a list of term words; a word is an ordered list of slots
     ('q', i, d1, d2)  the fused letter A_i * Q_{j(d1), j(d2)}
 
 with a rational coefficient.  Argument labels i equal the slot position in
-the word; derivation slot indices ds are a permutation target.  Evaluation
-is the unnormalized double alternation: sum over argument permutations and
-derivation permutations with parity signs, of the trace of the product.
-Q index pairs are permuted but never independently antisymmetrized.
+the word; the derivation slot indices of a word name each of 1..n exactly
+once.  Evaluation is the unnormalized double alternation: sum over argument
+permutations and derivation permutations with parity signs, of the trace of
+the product.  Q index pairs are permuted but never independently
+antisymmetrized.
 
-The evaluator shares partial products along a depth-first traversal of the
-argument assignments, so the per-permutation cost is amortized to roughly
-one algebra multiplication instead of one per slot.
+The evaluator is one kernel, shared with inner-expanded words (whose
+generator letters ('g', ds) take a derivation and no argument).  It walks a
+word's slots left to right by dynamic programming over the pair (used
+argument mask, used derivation mask): products are bilinear, so all
+assignments reaching the same pair are summed before the next
+multiplication, and the last slot is fused into the trace through the
+context's ``trace_mul``.  A word costs about one product per reachable state
+and choice instead of one per permutation.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import permutations
 
 from .combinatorics import (
     EvenSequence,
@@ -30,8 +37,8 @@ from .combinatorics import (
     enumerate_a_even,
     enumerate_circles,
     enumerate_intervals,
+    perm_sign,
     reduce_sequence,
-    signed_permutations,
 )
 
 
@@ -63,9 +70,6 @@ class CochainDescriptor:
 
     def evaluate(self, ctx, args):
         return evaluate(self, ctx, args)
-
-    def drop_labels(self):
-        return self
 
 
 @dataclass(frozen=True)
@@ -316,41 +320,130 @@ def split_adjacency(ec: ExpandedCochain):
 # evaluation
 # ---------------------------------------------------------------------------
 
-def _alt_sum(ops, ctx):
-    """Sum over argument permutations of sign * trace(product).
+def _dslots(slot) -> tuple:
+    """Derivation slot indices a slot or letter names, in order."""
+    kind = slot[0]
+    if kind == "d":
+        return (slot[2],)
+    if kind == "q":
+        return slot[2:4]
+    if kind == "g":
+        return (slot[1],)
+    return ()
 
-    ops[pos] is the row of candidate factors for slot pos, indexed by the
-    argument assigned there.  Prefix products are shared along the DFS.
+
+def _check_derivation_slots(slots, nd: int, outer=None) -> list:
+    """The derivation slot indices of one word, in slot order; they must
+    name each of 1..nd exactly once."""
+    order = [ds for s in slots for ds in _dslots(s)]
+    if outer is not None:
+        order.append(outer)
+    if sorted(order) != list(range(1, nd + 1)):
+        raise ValueError(
+            f"derivation slot indices must be a permutation of 1..{nd}: {order}"
+        )
+    return order
+
+
+def _check_ascending_args(slots, arity: int):
+    labels = [s[1] for s in slots if s[0] != "g"]
+    if labels != list(range(1, arity + 1)):
+        raise ValueError(f"argument labels must be 1..{arity} in order: {labels}")
+
+
+def _choices(takes_arg: bool, nder: int, nargs: int, nd: int) -> list:
+    """Every (argument, derivations, argument bit, derivation bits) a slot
+    can take; argument -1 for a slot that takes none."""
+    out = []
+    for a in range(nargs) if takes_arg else (-1,):
+        for es in permutations(range(nd), nder):
+            dbits = 0
+            for e in es:
+                dbits |= 1 << e
+            out.append((a, es, 0 if a < 0 else 1 << a, dbits))
+    return out
+
+
+def _alternate(words, ctx, args, nd: int):
+    """Sum of coeff times the double alternation of each (coeff, slots) word.
+
+    The slots are walked left to right.  A state is the pair (used argument
+    mask, used derivation mask) and holds the signed sum of the products of
+    every path that reaches it, so paths meet before the next
+    multiplication.  A step's sign is the parity of the used elements greater
+    than each new choice; the last slot is fused into ``ctx.trace_mul``.
+    On a windowed backend a sum keeps the shallowest window of its terms, so
+    the fused trace faults exactly when the trace of some single path would.
     """
-    m = len(ops)
-    mul = ctx.mul
-    trace = ctx.trace
-    used = [False] * m
-    total = [0]
+    nargs = len(args)
+    choices = {
+        shape: _choices(*shape, nargs, nd)
+        for shape in ((True, 0), (True, 1), (True, 2), (False, 1))
+    }
+    memo = {}
+    qs = {}
 
-    def rec(depth, prod, sign):
-        if depth == m:
-            total[0] += sign * trace(prod)
-            return
-        row = ops[depth]
-        cnt = 0
-        for a in range(m):
-            if used[a]:
-                continue
-            nxt = row[a] if prod is None else mul(prod, row[a])
-            used[a] = True
-            rec(depth + 1, nxt, sign if cnt % 2 == 0 else -sign)
-            used[a] = False
-            cnt += 1
+    def factor(kind, a, es):
+        key = (kind, a, es)
+        f = memo.get(key)
+        if f is None:
+            if kind == "d":
+                f = ctx.deriv(es[0], args[a])
+            elif kind == "q":
+                if es not in qs:
+                    qs[es] = ctx.q(*es)
+                f = ctx.mul(args[a], qs[es])
+            elif kind == "g":
+                f = ctx.generator(es[0])
+            else:
+                f = args[a]
+            memo[key] = f
+        return f
 
-    rec(0, None, 1)
-    return total[0]
-
-
-def _check_ascending_args(slots):
-    labels = [s[1] for s in slots]
-    if labels != list(range(1, len(slots) + 1)):
-        raise ValueError(f"argument labels must be 1..arity in order: {labels}")
+    mul, add, sub = ctx.mul, ctx.add, ctx.sub
+    total = 0
+    for coeff, slots in words:
+        order = _check_derivation_slots(slots, nd)
+        # A word naming derivation slots out of order gets that order's sign.
+        # The derivation alternation must not antisymmetrize the two indices
+        # inside one Q (each swap reproduces the same term via Q_ji = -Q_ij),
+        # so the plain sum over-counts by 2 per Q slot.
+        nq = sum(1 for s in slots if s[0] == "q")
+        coeff = Fraction(coeff * perm_sign(order), 1 << nq)
+        states = {(0, 0): None}
+        value = 0
+        last = len(slots) - 1
+        for pos, slot in enumerate(slots):
+            kind = slot[0]
+            options = choices[kind != "g", len(_dslots(slot))]
+            nxt = {}
+            for (am, dm), prod in states.items():
+                for a, es, abit, dbits in options:
+                    if am & abit or dm & dbits:
+                        continue
+                    par = (am >> (a + 1)).bit_count() if abit else 0
+                    m = dm
+                    for e in es:
+                        par += (m >> (e + 1)).bit_count()
+                        m |= 1 << e
+                    neg = par & 1
+                    f = factor(kind, a, es)
+                    if pos == last:
+                        t = ctx.trace(f) if prod is None else ctx.trace_mul(prod, f)
+                        value += -t if neg else t
+                        continue
+                    if prod is not None:
+                        f = mul(prod, f)
+                    key = (am | abit, m)
+                    old = nxt.get(key)
+                    if old is not None:
+                        f = sub(old, f) if neg else add(old, f)
+                    elif neg:
+                        f = ctx.scale(-1, f)
+                    nxt[key] = f
+            states = nxt
+        total += coeff * value
+    return total
 
 
 def evaluate(d: CochainDescriptor, ctx, args):
@@ -359,45 +452,13 @@ def evaluate(d: CochainDescriptor, ctx, args):
         raise ValueError(f"expected {d.arity} arguments, got {len(args)}")
     if ctx.n != d.n:
         raise ValueError(f"context has {ctx.n} derivations, descriptor needs {d.n}")
-    nd = d.n
-    arity = d.arity
-    dcache = [[ctx.deriv(dd, a) for a in args] for dd in range(nd)]
-    qrows: dict = {}
-    total = 0
     for w in d.words:
         if w.outer_dslot is not None:
             raise ValueError("wrapped words are symbolic-only; expand first")
-        _check_ascending_args(w.slots)
-    for tau, stau in signed_permutations(nd):
-        for w in d.words:
-            ops = []
-            nq = 0
-            for slot in w.slots:
-                kind = slot[0]
-                if kind == "p":
-                    ops.append(args)
-                elif kind == "d":
-                    ops.append(dcache[tau[slot[2] - 1]])
-                else:
-                    if not getattr(ctx, "has_q", False):
-                        raise ValueError("descriptor needs Q but context has none")
-                    nq += 1
-                    d1 = tau[slot[2] - 1]
-                    d2 = tau[slot[3] - 1]
-                    row = qrows.get((d1, d2))
-                    if row is None:
-                        qm = ctx.q(d1, d2)
-                        row = [ctx.mul(a, qm) for a in args]
-                        qrows[(d1, d2)] = row
-                    ops.append(row)
-            # The label alternation must not antisymmetrize the two indices
-            # inside one Q (each swap reproduces the same term via
-            # Q_ji = -Q_ij), so the plain sum over-counts by 2 per Q slot.
-            coeff = w.coeff * stau
-            if nq:
-                coeff = coeff / (1 << nq)
-            total += coeff * _alt_sum(ops, ctx)
-    return total
+        _check_ascending_args(w.slots, d.arity)
+        if any(s[0] == "q" for s in w.slots) and not getattr(ctx, "has_q", False):
+            raise ValueError("descriptor needs Q but context has none")
+    return _alternate([(w.coeff, w.slots) for w in d.words], ctx, args, d.n)
 
 
 def evaluate_expanded(ec: ExpandedCochain, ctx, args):
@@ -405,48 +466,9 @@ def evaluate_expanded(ec: ExpandedCochain, ctx, args):
     generator elements (permuted by the derivation alternation)."""
     if len(args) != ec.arity:
         raise ValueError(f"expected {ec.arity} arguments, got {len(args)}")
-    nd = ec.n
-    mul = ctx.mul
-    trace = ctx.trace
-    total = 0
-    for tau, stau in signed_permutations(nd):
-        gens = [ctx.generator(tau[ds]) for ds in range(nd)]
-        for w in ec.words:
-            argpos = [lt[1] for lt in w.letters if lt[0] == "a"]
-            if argpos != list(range(1, ec.arity + 1)):
-                raise ValueError("argument letters must appear in order")
-            total += w.coeff * stau * _alt_expanded(w.letters, gens, ctx, args)
-    return total
-
-
-def _alt_expanded(letters, gens, ctx, args):
-    m = len(args)
-    mul = ctx.mul
-    trace = ctx.trace
-    used = [False] * m
-    total = [0]
-
-    def rec(pos, prod, sign):
-        if pos == len(letters):
-            total[0] += sign * trace(prod)
-            return
-        lt = letters[pos]
-        if lt[0] == "g":
-            g = gens[lt[1] - 1]
-            rec(pos + 1, g if prod is None else mul(prod, g), sign)
-            return
-        cnt = 0
-        for a in range(m):
-            if used[a]:
-                continue
-            nxt = args[a] if prod is None else mul(prod, args[a])
-            used[a] = True
-            rec(pos + 1, nxt, sign if cnt % 2 == 0 else -sign)
-            used[a] = False
-            cnt += 1
-
-    rec(0, None, 1)
-    return total[0]
+    for w in ec.words:
+        _check_ascending_args(w.letters, ec.arity)
+    return _alternate([(w.coeff, w.letters) for w in ec.words], ctx, args, ec.n)
 
 
 # ---------------------------------------------------------------------------
@@ -493,6 +515,7 @@ def descriptor_from_dict(obj: dict) -> CochainDescriptor:
                 slots.append(qfused(s["arg"], s["d"], s["d2"]))
             else:
                 raise ValueError(f"unknown slot kind {s['kind']!r}")
+        _check_derivation_slots(slots, obj["n"], w.get("outer_d"))
         num, den = w["coeff"]
         words.append(
             TermWord(

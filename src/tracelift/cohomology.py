@@ -12,6 +12,7 @@ checks are exact: a trial passes iff its residual is literally zero.
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
 import time
@@ -158,9 +159,7 @@ def check_axioms(ctx, trials: int, seed: int) -> VerificationReport:
                         failed.append(f"commutation_q_{i + 1}{j + 1}")
                     if not ctx.elem_is_zero(ctx.add(ctx.q(i, j), ctx.q(j, i))):
                         failed.append(f"antisym_q_{i + 1}{j + 1}")
-            import itertools as _it
-
-            for triple in _it.combinations(range(nd), 3):
+            for triple in itertools.combinations(range(nd), 3):
                 alt = None
                 for tau, s in signed_permutations(3):
                     i, j, k = (triple[tau[0]], triple[tau[1]], triple[tau[2]])

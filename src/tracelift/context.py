@@ -62,6 +62,9 @@ class MatrixContext:
     def trace(self, a):
         return mat.mat_trace(a)
 
+    def trace_mul(self, a, b):
+        return mat.mat_trace_mul(a, b)
+
     def zero(self):
         return self._zero
 

@@ -36,7 +36,6 @@ def mat_scale(c, a):
 
 
 def mat_mul(a, b):
-    n = len(a)
     m = len(b[0])
     k = len(b)
     rk = range(k)
@@ -52,6 +51,11 @@ def mat_comm(a, b):
 
 def mat_trace(a):
     return sum(a[i][i] for i in range(len(a)))
+
+
+def mat_trace_mul(a, b):
+    """trace(a * b) = sum_ij a_ij b_ji, without forming the product."""
+    return sum(sum(x * y for x, y in zip(ra, cb)) for ra, cb in zip(a, zip(*b)))
 
 
 def is_zero(a) -> bool:

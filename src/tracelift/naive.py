@@ -9,6 +9,7 @@ Used as the agreement oracle.
 from __future__ import annotations
 
 import itertools
+from fractions import Fraction
 
 
 def _sign(perm) -> int:
@@ -44,10 +45,8 @@ def naive_evaluate(desc, ctx, args):
                     prod = factor if prod is None else ctx.mul(prod, factor)
                 # the two indices inside one Q are not antisymmetrized:
                 # halve once per Q factor to undo the label-swap double count
-                from fractions import Fraction as _F
-
                 total += (
-                    w.coeff * _F(1, 2 ** n_q) * s_sig * s_tau * ctx.trace(prod)
+                    w.coeff * Fraction(1, 2 ** n_q) * s_sig * s_tau * ctx.trace(prod)
                 )
     return total
 

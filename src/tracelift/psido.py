@@ -200,6 +200,35 @@ def residue_trace(a: PsiDOSymbol) -> Fraction:
     return a.coeff(mono, mono)
 
 
+def residue_trace_compose(a: PsiDOSymbol, b: PsiDOSymbol) -> Fraction:
+    """``residue_trace(compose(a, b))`` without the other coefficients.
+
+    Per variable only k = ad + bd + 1 reaches d^-1, and the term reaches
+    x^-1 only when ax + bx = ad + bd.  The window is the one ``compose``
+    gives, so this raises exactly when the composed residue would.
+    """
+    _check_compat(a, b)
+    nv = a.nvars
+    dmin = tuple(
+        max(a.dmin[i] + b.dtop[i], b.dmin[i] + a.dtop[i]) for i in range(nv)
+    )
+    mono = tuple(-1 for _ in range(nv))
+    if any(m > -1 for m in dmin):
+        raise InsufficientWindowError(f"d-exponent {mono} below window {dmin}")
+    total = Fraction(0)
+    for (ax, ad), ca in a.terms:
+        for (bx, bd), cb in b.terms:
+            coef = ca * cb
+            for i in range(nv):
+                k = ad[i] + bd[i] + 1
+                if k < 0 or ax[i] + bx[i] != k - 1:
+                    coef = 0
+                    break
+                coef *= _gbinom(ad[i], k) * _falling(bx[i], k)
+            total += coef
+    return total
+
+
 # ---------------------------------------------------------------------------
 # log derivations
 # ---------------------------------------------------------------------------
@@ -303,6 +332,9 @@ class PsiDOContext:
 
     def trace(self, a):
         return residue_trace(a)
+
+    def trace_mul(self, a, b):
+        return residue_trace_compose(a, b)
 
     def zero(self):
         return self._zero

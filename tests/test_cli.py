@@ -137,3 +137,21 @@ def test_oracle_size_bound(capsys):
 def test_unknown_check_rejected(capsys):
     code, _ = run_cli(capsys, "verify", "nonsense")
     assert code == 2
+
+
+@pytest.mark.parametrize("argv", [
+    # the window is too shallow for an exact residue
+    ("verify", "thm21", "--backend", "psido", "--n", "2", "--window", "1",
+     "--trials", "3"),
+    # no generators for the matrix context
+    ("verify", "thm11", "--n", "0"),
+    ("oracle", "--n", "0", "--l", "1"),
+    # no even-run sequences
+    ("verify", "lemma111", "--n", "0", "--l", "1"),
+    # a check needs at least one trial
+    ("verify", "thm21", "--n", "2", "--trials", "0"),
+], ids=["psido-window", "thm11-n0", "oracle-n0", "lemma111-n0", "no-trials"])
+def test_bad_parameters_are_usage_errors(capsys, argv):
+    code, out = run_cli(capsys, *argv)
+    assert code == 2
+    assert out == ""

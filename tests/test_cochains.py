@@ -131,3 +131,13 @@ def test_serialization_rejects_unknown_kind():
     obj["words"][0]["slots"][0]["kind"] = "mystery"
     with pytest.raises(ValueError):
         descriptor_from_dict(obj)
+
+
+@pytest.mark.parametrize("labels", [(1, 3), (1, 1)], ids=["outside", "repeated"])
+def test_serialization_rejects_derivation_labels_not_a_permutation(labels):
+    obj = descriptor_to_dict(build_Psi0(2, 1))
+    derived = [s for s in obj["words"][0]["slots"] if s["kind"] == "deriv"]
+    for slot, label in zip(derived, labels):
+        slot["d"] = label
+    with pytest.raises(ValueError, match="permutation"):
+        descriptor_from_dict(obj)

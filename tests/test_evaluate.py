@@ -1,15 +1,20 @@
 import random
+from fractions import Fraction
 
 import pytest
 
 from tracelift.cochains import (
+    CochainDescriptor,
+    TermWord,
     build_Psi0,
     build_Psi_n1,
     build_S,
     build_S_even,
     build_S_tilde,
+    deriv,
     evaluate,
     expand_inner,
+    plain,
     split_adjacency,
 )
 from tracelift.combinatorics import enumerate_a_even
@@ -88,3 +93,14 @@ def test_arity_mismatch_rejected():
     desc = build_Psi0(2, 1)
     with pytest.raises(ValueError):
         evaluate(desc, ctx, (ctx.sample(random.Random(0)),))
+
+
+@pytest.mark.parametrize("labels", [(1, 3), (2, 2)], ids=["outside", "repeated"])
+def test_derivation_labels_must_be_a_permutation(labels):
+    ctx = ctx_for(2)
+    word = TermWord(coeff=Fraction(1),
+                    slots=(deriv(1, labels[0]), plain(2), deriv(3, labels[1])))
+    desc = CochainDescriptor(arity=3, n=2, words=(word,))
+    args = sample_args(ctx, 3, random.Random(8))
+    with pytest.raises(ValueError, match="permutation"):
+        evaluate(desc, ctx, args)
