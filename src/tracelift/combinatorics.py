@@ -9,7 +9,7 @@ match the slot labelling used by the cochain builders.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 
 @dataclass(frozen=True)

@@ -10,6 +10,7 @@ derivation pair unordered.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 from .cochains import CochainDescriptor, build_S_even, build_S_tilde
@@ -259,6 +260,19 @@ def certify_in_relation_span(expr: dict, basis):
 # Leibniz-sum identity certification
 # ---------------------------------------------------------------------------
 
+# Largest predicted Leibniz-term count certify_leibniz_sum_identity accepts.
+# The largest computed case, (2,3), has 5,160,960 terms (248 s); the next
+# ones, (5,1) and (4,2), have 1.1e8 and 3.1e8 (see docs/leibniz_sum_factor.md).
+LEIBNIZ_TERM_BUDGET = 10_000_000
+
+
+def leibniz_term_count(n: int, l: int) -> int:
+    """Words the Leibniz-sum certificate canonicalizes: sequences x n wrapped
+    words x (n + 2l) slots x (n + 2l)! x n!."""
+    m = n + 2 * l
+    return len(enumerate_a_even(n, l)) * n * m * math.factorial(m) * math.factorial(n)
+
+
 def certify_leibniz_sum_identity(n: int, l: int, size_bound: int = 8) -> dict:
     """Certify the Leibniz-sum identity sum_a S_tilde(a) = (n + 2l) S_even
     after full symbolic Leibniz expansion.
@@ -276,9 +290,19 @@ def certify_leibniz_sum_identity(n: int, l: int, size_bound: int = 8) -> dict:
     ``proportional`` and ``observed_factor`` are computed independently of
     it, as the exact scalar ratio of the two expansions when one exists.
     Second-order letters must cancel in all cases.
+
+    Refused with ``ValueError`` before any expansion: n + 2l above
+    ``size_bound``, or a predicted ``leibniz_term_count`` above
+    ``LEIBNIZ_TERM_BUDGET``.
     """
     if n + 2 * l > size_bound:
         raise ValueError(f"n + 2l = {n + 2 * l} exceeds symbolic size bound {size_bound}")
+    terms = leibniz_term_count(n, l)
+    if terms > LEIBNIZ_TERM_BUDGET:
+        raise ValueError(
+            f"(n, l) = ({n}, {l}) needs {terms:,} Leibniz terms, over the "
+            f"budget of {LEIBNIZ_TERM_BUDGET:,}"
+        )
     tilde_total: dict = {}
     for a in enumerate_a_even(n, l):
         tilde_total = combine_maps(

@@ -9,6 +9,7 @@ integer path.
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import mul
 
 
 def zero(n: int):
@@ -36,12 +37,8 @@ def mat_scale(c, a):
 
 
 def mat_mul(a, b):
-    m = len(b[0])
-    k = len(b)
-    rk = range(k)
-    return tuple(
-        tuple(sum(ra[t] * b[t][j] for t in rk) for j in range(m)) for ra in a
-    )
+    cols = tuple(zip(*b))
+    return tuple(tuple(sum(map(mul, ra, cb)) for cb in cols) for ra in a)
 
 
 def mat_comm(a, b):

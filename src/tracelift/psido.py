@@ -13,18 +13,25 @@ never approximate.
 The trace is the noncommutative residue (coefficient of x^-1 d^-1 in every
 variable); the outer derivations are the adjoint actions of ln x_i and
 ln d_i, realized as exact series truncated to the window.
+
+Coefficients are stored as ``Fraction``s, but products and log derivations
+compute with integers: each operand is scaled once to integer numerators
+over the lcm of its denominators, the per-variable reordering and series
+coefficients come from cached integer tables, contributions are summed as
+integers per output term, and each surviving term builds one ``Fraction``.
+Sums and scalings touch only the coefficients they change.  A result's
+keys come out unique and inside its window, so none of these re-normalize
+through ``PsiDOSymbol.make``.
 """
 
 from __future__ import annotations
 
-import itertools
+import functools
 import math
 import re
 import time
 from dataclasses import dataclass
 from fractions import Fraction
-
-from .combinatorics import signed_permutations
 
 
 class InsufficientWindowError(Exception):
@@ -38,8 +45,41 @@ def _falling(c: int, k: int) -> int:
     return out
 
 
-def _gbinom(b: int, k: int) -> Fraction:
-    return Fraction(_falling(b, k), math.factorial(k))
+def _gbinom(b: int, k: int) -> int:
+    """C(b, k) for any integer b; k! divides every product of k consecutive
+    integers, so this is an integer."""
+    return _falling(b, k) // math.factorial(k)
+
+
+def _nonzero_prefix(values) -> tuple:
+    """The values before the first zero.  C(b, k) vanishes exactly when
+    0 <= b < k and c^(k) exactly when 0 <= c < k, so once a coefficient
+    below is zero every later one is too."""
+    out = []
+    for v in values:
+        if not v:
+            break
+        out.append(v)
+    return tuple(out)
+
+
+@functools.lru_cache(maxsize=1 << 14)
+def _shift_coeffs(b: int, c: int, kmax: int) -> tuple:
+    """C(b, k) c^(k) for k = 0, 1, .. up to kmax, ending before the first
+    zero: the terms of d^b x^c = sum_k C(b, k) c^(k) x^(c-k) d^(b-k) in one
+    variable, indexed by k."""
+    return _nonzero_prefix(_gbinom(b, k) * _falling(c, k) for k in range(kmax + 1))
+
+
+@functools.lru_cache(maxsize=1 << 14)
+def _log_coeffs(e: int, kmax: int, top: int) -> tuple:
+    """(-1)^(k-1) e^(k) lcm(1..top) / k for k = 1, 2, .. up to kmax, ending
+    before the first zero: the adjoint-log series coefficients over the
+    common denominator lcm(1..top), indexed by k - 1."""
+    den = math.lcm(*range(1, top + 1))
+    return _nonzero_prefix(
+        (-1) ** (k - 1) * (den // k) * _falling(e, k) for k in range(1, kmax + 1)
+    )
 
 
 @dataclass(frozen=True)
@@ -113,28 +153,58 @@ def zero_symbol(nvars: int, depth: int = 16) -> PsiDOSymbol:
 # ring operations
 # ---------------------------------------------------------------------------
 
-def sym_add(a: PsiDOSymbol, b: PsiDOSymbol) -> PsiDOSymbol:
+def _integer_terms(a: PsiDOSymbol):
+    """a's coefficients as integer numerators over the lcm of their
+    denominators: (den, [(key, numerator), ...])."""
+    den = math.lcm(*(c.denominator for _, c in a.terms))
+    return den, [(key, c.numerator * (den // c.denominator)) for key, c in a.terms]
+
+
+def _from_integers(nvars, acc: dict, den: int, dmin, dtop) -> PsiDOSymbol:
+    """Symbol from integer numerators over ``den`` whose keys are unique and
+    inside the window, as ``compose`` and ``apply_log_derivation`` produce
+    them; zero sums are dropped and each surviving term builds one Fraction."""
+    return PsiDOSymbol(
+        nvars=nvars,
+        terms=tuple((key, Fraction(v, den)) for key, v in sorted(acc.items()) if v),
+        dmin=tuple(dmin),
+        dtop=tuple(dtop),
+    )
+
+
+def _merge(a: PsiDOSymbol, b: PsiDOSymbol, sign: int) -> PsiDOSymbol:
+    """a + sign * b on the shallower of the two windows."""
     _check_compat(a, b)
     dmin = tuple(max(x, y) for x, y in zip(a.dmin, b.dmin))
     dtop = tuple(max(x, y) for x, y in zip(a.dtop, b.dtop))
     terms = dict(a.terms)
     for k, c in b.terms:
-        t = terms.get(k, 0) + c
-        if t == 0:
-            terms.pop(k, None)
+        t = terms.get(k)
+        if t is None:
+            terms[k] = c if sign > 0 else -c
         else:
-            terms[k] = t
-    return PsiDOSymbol.make(a.nvars, terms, dmin, dtop)
+            t = t + c if sign > 0 else t - c
+            if t:
+                terms[k] = t
+            else:
+                del terms[k]
+    if dmin != a.dmin or dmin != b.dmin:
+        terms = {k: c for k, c in terms.items()
+                 if all(e >= m for e, m in zip(k[1], dmin))}
+    return PsiDOSymbol(a.nvars, tuple(sorted(terms.items())), dmin, dtop)
 
 
-def sym_scale(c, a: PsiDOSymbol) -> PsiDOSymbol:
-    return PsiDOSymbol.make(
-        a.nvars, {k: c * v for k, v in a.terms}, a.dmin, a.dtop
-    )
+def sym_add(a: PsiDOSymbol, b: PsiDOSymbol) -> PsiDOSymbol:
+    return _merge(a, b, 1)
 
 
 def sym_sub(a: PsiDOSymbol, b: PsiDOSymbol) -> PsiDOSymbol:
-    return sym_add(a, sym_scale(-1, b))
+    return _merge(a, b, -1)
+
+
+def sym_scale(c, a: PsiDOSymbol) -> PsiDOSymbol:
+    terms = tuple((k, c * v) for k, v in a.terms) if c else ()
+    return PsiDOSymbol(a.nvars, terms, a.dmin, a.dtop)
 
 
 def _check_compat(a, b):
@@ -142,56 +212,41 @@ def _check_compat(a, b):
         raise ValueError("variable count mismatch")
 
 
+def _product_window(a: PsiDOSymbol, b: PsiDOSymbol) -> tuple:
+    return tuple(
+        max(a.dmin[i] + b.dtop[i], b.dmin[i] + a.dtop[i]) for i in range(a.nvars)
+    )
+
+
 def compose(a: PsiDOSymbol, b: PsiDOSymbol) -> PsiDOSymbol:
     """Normal-ordered operator product.
 
     Per variable, d^b x^c = sum_k C(b,k) c^(k) x^{c-k} d^{b-k}; the k-sum
     is truncated exactly at the result window, which shrinks by the top
-    order of the other operand on each side.
+    order of the other operand on each side.  Products are summed as
+    integers over the product of the operands' common denominators.
     """
     _check_compat(a, b)
     nv = a.nvars
-    dmin = tuple(
-        max(a.dmin[i] + b.dtop[i], b.dmin[i] + a.dtop[i]) for i in range(nv)
-    )
+    dmin = _product_window(a, b)
     dtop = tuple(a.dtop[i] + b.dtop[i] for i in range(nv))
+    den_a, ta = _integer_terms(a)
+    den_b, tb = _integer_terms(b)
     out: dict = {}
-    for (ax, ad), ca in a.terms:
-        for (bx, bd), cb in b.terms:
-            per_var = []
-            dead = False
+    get = out.get
+    for (ax, ad), ca in ta:
+        for (bx, bd), cb in tb:
+            # (x-exponents, d-exponents, coefficient) after each variable
+            parts = [((), (), ca * cb)]
             for i in range(nv):
-                kmax = ad[i] + bd[i] - dmin[i]
-                if kmax < 0:
-                    dead = True
-                    break
-                opts = []
-                for k in range(kmax + 1):
-                    coef = _gbinom(ad[i], k) * _falling(bx[i], k)
-                    if coef != 0:
-                        opts.append((k, coef))
-                if not opts:
-                    dead = True
-                    break
-                per_var.append(opts)
-            if dead:
-                continue
-            base = ca * cb
-            for combo in itertools.product(*per_var):
-                ks = tuple(k for k, _ in combo)
-                coef = base
-                for _, c in combo:
-                    coef *= c
-                key = (
-                    tuple(ax[i] + bx[i] - ks[i] for i in range(nv)),
-                    tuple(ad[i] + bd[i] - ks[i] for i in range(nv)),
-                )
-                t = out.get(key, 0) + coef
-                if t == 0:
-                    out.pop(key, None)
-                else:
-                    out[key] = t
-    return PsiDOSymbol.make(nv, out, dmin, dtop)
+                sx, sd = ax[i] + bx[i], ad[i] + bd[i]
+                opts = _shift_coeffs(ad[i], bx[i], sd - dmin[i])
+                parts = [(xs + (sx - k,), ds + (sd - k,), c * ck)
+                         for xs, ds, c in parts for k, ck in enumerate(opts)]
+            for xs, ds, c in parts:
+                key = (xs, ds)
+                out[key] = get(key, 0) + c
+    return _from_integers(nv, out, den_a * den_b, dmin, dtop)
 
 
 def residue_trace(a: PsiDOSymbol) -> Fraction:
@@ -209,15 +264,15 @@ def residue_trace_compose(a: PsiDOSymbol, b: PsiDOSymbol) -> Fraction:
     """
     _check_compat(a, b)
     nv = a.nvars
-    dmin = tuple(
-        max(a.dmin[i] + b.dtop[i], b.dmin[i] + a.dtop[i]) for i in range(nv)
-    )
+    dmin = _product_window(a, b)
     mono = tuple(-1 for _ in range(nv))
     if any(m > -1 for m in dmin):
         raise InsufficientWindowError(f"d-exponent {mono} below window {dmin}")
-    total = Fraction(0)
-    for (ax, ad), ca in a.terms:
-        for (bx, bd), cb in b.terms:
+    den_a, ta = _integer_terms(a)
+    den_b, tb = _integer_terms(b)
+    total = 0
+    for (ax, ad), ca in ta:
+        for (bx, bd), cb in tb:
             coef = ca * cb
             for i in range(nv):
                 k = ad[i] + bd[i] + 1
@@ -226,7 +281,7 @@ def residue_trace_compose(a: PsiDOSymbol, b: PsiDOSymbol) -> Fraction:
                     break
                 coef *= _gbinom(ad[i], k) * _falling(bx[i], k)
             total += coef
-    return total
+    return Fraction(total, den_a * den_b)
 
 
 # ---------------------------------------------------------------------------
@@ -239,43 +294,34 @@ class LogDerivationTag:
     var: int   # 0-based variable index
 
 
-def _series_coeff(k: int) -> Fraction:
-    # c_k of the adjoint-log series; both derivations share it.
-    return Fraction((-1) ** (k - 1), k)
-
-
 def apply_log_derivation(tag: LogDerivationTag, a: PsiDOSymbol) -> PsiDOSymbol:
     """Adjoint action of ln x_v or ln d_v, exact on the (deepened) window.
 
-    Both actions shift (xexp, dexp) by (-k, -k) in the tagged variable; the
-    window gains one unit of depth since every contribution has k >= 1.
+    Both actions shift (xexp, dexp) by (-k, -k) in the tagged variable, with
+    coefficient c_k x^(k) (ln d) or -c_k d^(k) (ln x) of the series
+    c_k = (-1)^(k-1) / k; the window gains one unit of depth since every
+    contribution has k >= 1.  Sums are integers over the common
+    denominator of the input and of c_1 .. c_kmax.
     """
+    if tag.kind not in ("ln_partial", "ln_x"):
+        raise ValueError(f"unknown derivation kind {tag.kind!r}")
+    on_x = tag.kind == "ln_partial"
     v = tag.var
     nv = a.nvars
     dmin = tuple(m - (1 if i == v else 0) for i, m in enumerate(a.dmin))
     dtop = tuple(t - (1 if i == v else 0) for i, t in enumerate(a.dtop))
+    den_a, ta = _integer_terms(a)
+    top = max((d[v] - dmin[v] for (_, d), _ in ta), default=1)
     out: dict = {}
-    for (x, d), c in a.terms:
-        kmax = d[v] - dmin[v]
-        for k in range(1, kmax + 1):
-            if tag.kind == "ln_partial":
-                coef = _series_coeff(k) * _falling(x[v], k)
-            elif tag.kind == "ln_x":
-                coef = -_series_coeff(k) * _falling(d[v], k)
-            else:
-                raise ValueError(f"unknown derivation kind {tag.kind!r}")
-            if coef == 0:
-                continue
-            key = (
-                tuple(x[i] - (k if i == v else 0) for i in range(nv)),
-                tuple(d[i] - (k if i == v else 0) for i in range(nv)),
-            )
-            t = out.get(key, 0) + c * coef
-            if t == 0:
-                out.pop(key, None)
-            else:
-                out[key] = t
-    return PsiDOSymbol.make(nv, out, dmin, dtop)
+    get = out.get
+    for (x, d), c in ta:
+        if not on_x:
+            c = -c
+        coeffs = _log_coeffs(x[v] if on_x else d[v], d[v] - dmin[v], top)
+        for k, coef in enumerate(coeffs, 1):
+            key = (x[:v] + (x[v] - k,) + x[v + 1:], d[:v] + (d[v] - k,) + d[v + 1:])
+            out[key] = get(key, 0) + c * coef
+    return _from_integers(nv, out, den_a * math.lcm(*range(1, top + 1)), dmin, dtop)
 
 
 def bracket_series_symbol(nvars: int, var: int, cutoff: int, depth: int) -> PsiDOSymbol:

@@ -148,9 +148,12 @@ def test_unknown_check_rejected(capsys):
     ("oracle", "--n", "0", "--l", "1"),
     # no even-run sequences
     ("verify", "lemma111", "--n", "0", "--l", "1"),
+    # 8.4e9 predicted Leibniz terms, refused before any expansion
+    ("verify", "lemma111", "--n", "6", "--l", "1"),
     # a check needs at least one trial
     ("verify", "thm21", "--n", "2", "--trials", "0"),
-], ids=["psido-window", "thm11-n0", "oracle-n0", "lemma111-n0", "no-trials"])
+], ids=["psido-window", "thm11-n0", "oracle-n0", "lemma111-n0",
+        "lemma111-over-budget", "no-trials"])
 def test_bad_parameters_are_usage_errors(capsys, argv):
     code, out = run_cli(capsys, *argv)
     assert code == 2

@@ -1,18 +1,31 @@
-"""Hypothesis properties of the alternation kernel and of ``trace_mul``.
+"""Hypothesis properties of the alternation kernel, of ``trace_mul`` and of
+the psido symbol arithmetic.
 
 The kernel is checked against the naive oracle on random valid descriptors
 (plain, derived and Q-fused slots, derivation slots named out of order,
-coefficients other than 1), and ``trace_mul`` against the trace of the full
-product on both backends, including where the psido window is too shallow.
+coefficients other than 1), for antisymmetry in its arguments, and for a
+lossless JSON round trip of the descriptor; ``trace_mul`` against the trace
+of the full product on both backends, including where the psido window is
+too shallow; and the integer-numerator psido operations against the
+per-contribution ``Fraction`` formulas kept below as the reference.
 """
 
+import itertools
+import json
+import math
 import random
 from fractions import Fraction
 
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
-from tracelift.cochains import CochainDescriptor, TermWord, evaluate
+from tracelift.cochains import (
+    CochainDescriptor,
+    TermWord,
+    descriptor_from_dict,
+    descriptor_to_dict,
+    evaluate,
+)
 from tracelift.cohomology import sample_args
 from tracelift.context import random_matrix_context
 from tracelift.matrices import mat_mul, mat_trace, mat_trace_mul
@@ -20,11 +33,17 @@ from tracelift.naive import naive_evaluate
 from tracelift.psido import (
     InsufficientWindowError,
     LogDerivationTag,
+    PsiDOSymbol,
     apply_log_derivation,
+    bracket_series_symbol,
     compose,
     laurent_symbol,
     make_psido_context,
     residue_trace,
+    residue_trace_compose,
+    sym_add,
+    sym_scale,
+    sym_sub,
 )
 
 coefficients = st.builds(
@@ -67,6 +86,45 @@ def test_evaluate_matches_naive_on_random_descriptors(desc, seed):
     value = evaluate(desc, ctx, args)
     event("nonzero" if value else "zero")
     assert value == naive_evaluate(desc, ctx, args)
+
+
+@settings(max_examples=40, deadline=None)
+@given(descriptors().filter(lambda d: d.arity >= 2), st.integers(0, 10**6),
+       st.data())
+def test_swapping_two_arguments_negates_evaluate(desc, seed, data):
+    ctx = random_matrix_context(random.Random(seed), desc.n, 3)
+    args = list(sample_args(ctx, desc.arity, random.Random(seed + 1)))
+    i, j = data.draw(st.lists(st.integers(0, desc.arity - 1), min_size=2,
+                              max_size=2, unique=True))
+    value = evaluate(desc, ctx, args)
+    event("nonzero" if value else "zero")
+    args[i], args[j] = args[j], args[i]
+    assert evaluate(desc, ctx, args) == -value
+
+
+@st.composite
+def labelled_descriptors(draw):
+    """Descriptors whose words carry labels and, some of them, an outer
+    derivation: one derived slot becomes plain and its label wraps the word."""
+    desc = draw(descriptors())
+    ws = []
+    for w in desc.words:
+        dslots = [k for k, s in enumerate(w.slots) if s[0] == "d"]
+        slots, outer = w.slots, None
+        if dslots and draw(st.booleans()):
+            k = draw(st.sampled_from(dslots))
+            outer = slots[k][2]
+            slots = slots[:k] + (("p", slots[k][1]),) + slots[k + 1:]
+        ws.append(TermWord(w.coeff, slots, outer,
+                           draw(st.sampled_from(["", "lead", "S(1,0,0)"]))))
+    return CochainDescriptor(desc.arity, desc.n, tuple(ws))
+
+
+@settings(max_examples=60, deadline=None)
+@given(labelled_descriptors())
+def test_descriptor_json_round_trip(desc):
+    text = json.dumps(descriptor_to_dict(desc))
+    assert descriptor_from_dict(json.loads(text)) == desc
 
 
 matrices = st.integers(1, 4).flatmap(
@@ -130,5 +188,102 @@ def test_psido_trace_mul_faults_exactly_when_residue_does(ab):
     ctx = make_psido_context(a.nvars)
     fused = _residue_or_fault(lambda: ctx.trace_mul(a, b))
     full = _residue_or_fault(lambda: residue_trace(compose(a, b)))
+    event("fault" if full is InsufficientWindowError else "exact")
+    assert fused == full
+
+
+# The per-contribution Fraction formulas of the psido arithmetic: one
+# Fraction product per (term pair, k) and one Fraction sum per contribution,
+# normalised through PsiDOSymbol.make.  The library sums integer numerators
+# instead and must agree with these exactly.
+
+def _falling_ref(c, k):
+    return math.prod(c - t for t in range(k))
+
+
+def _compose_ref(a, b):
+    nv = a.nvars
+    dmin = tuple(max(a.dmin[i] + b.dtop[i], b.dmin[i] + a.dtop[i]) for i in range(nv))
+    dtop = tuple(a.dtop[i] + b.dtop[i] for i in range(nv))
+    out = {}
+    for (ax, ad), ca in a.terms:
+        for (bx, bd), cb in b.terms:
+            per_var = [
+                [(k, Fraction(_falling_ref(ad[i], k), math.factorial(k))
+                  * _falling_ref(bx[i], k))
+                 for k in range(ad[i] + bd[i] - dmin[i] + 1)]
+                for i in range(nv)
+            ]
+            for combo in itertools.product(*per_var):
+                coef = ca * cb
+                for _, c in combo:
+                    coef *= c
+                key = (tuple(ax[i] + bx[i] - combo[i][0] for i in range(nv)),
+                       tuple(ad[i] + bd[i] - combo[i][0] for i in range(nv)))
+                out[key] = out.get(key, 0) + coef
+    return PsiDOSymbol.make(nv, out, dmin, dtop)
+
+
+def _log_derivation_ref(tag, a):
+    v = tag.var
+    dmin = tuple(m - (i == v) for i, m in enumerate(a.dmin))
+    dtop = tuple(t - (i == v) for i, t in enumerate(a.dtop))
+    out = {}
+    for (x, d), c in a.terms:
+        for k in range(1, d[v] - dmin[v] + 1):
+            series = Fraction((-1) ** (k - 1), k)
+            if tag.kind == "ln_partial":
+                coef = series * _falling_ref(x[v], k)
+            else:
+                coef = -series * _falling_ref(d[v], k)
+            key = (tuple(e - k * (i == v) for i, e in enumerate(x)),
+                   tuple(e - k * (i == v) for i, e in enumerate(d)))
+            out[key] = out.get(key, 0) + c * coef
+    return PsiDOSymbol.make(a.nvars, out, dmin, dtop)
+
+
+def _add_ref(a, b, sign=1):
+    terms = dict(a.terms)
+    for k, c in b.terms:
+        terms[k] = terms.get(k, 0) + sign * c
+    return PsiDOSymbol.make(a.nvars, terms,
+                            tuple(map(max, a.dmin, b.dmin)),
+                            tuple(map(max, a.dtop, b.dtop)))
+
+
+@st.composite
+def operands(draw, nvars, depth):
+    """A symbol from ``symbols``, optionally multiplied by a Q series of one
+    variable (as the kernel's Q-fused slots are), built with the reference
+    product so the operand does not depend on the code under test."""
+    sym = draw(symbols(nvars, depth))
+    if draw(st.booleans()):
+        q = bracket_series_symbol(nvars, draw(st.integers(0, nvars - 1)),
+                                  draw(st.integers(1, 4)), depth)
+        sym = _compose_ref(sym, q)
+    return sym
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.tuples(st.integers(1, 2), st.integers(0, 8)).flatmap(
+           lambda nd: st.tuples(operands(*nd), operands(*nd))),
+       st.sampled_from(["ln_x", "ln_partial"]), st.data())
+def test_psido_arithmetic_matches_fraction_reference(ab, kind, data):
+    a, b = ab
+    tag = LogDerivationTag(kind, data.draw(st.integers(0, a.nvars - 1)))
+    c = data.draw(coefficients)
+    pairs = [
+        (compose(a, b), _compose_ref(a, b)),
+        (apply_log_derivation(tag, a), _log_derivation_ref(tag, a)),
+        (sym_add(a, b), _add_ref(a, b)),
+        (sym_sub(a, b), _add_ref(a, b, -1)),
+        (sym_scale(c, a), PsiDOSymbol.make(a.nvars, {k: c * v for k, v in a.terms},
+                                           a.dmin, a.dtop)),
+    ]
+    for got, want in pairs:
+        assert got == want
+        assert all(type(v) is Fraction for _, v in got.terms)
+    fused = _residue_or_fault(lambda: residue_trace_compose(a, b))
+    full = _residue_or_fault(lambda: residue_trace(_compose_ref(a, b)))
     event("fault" if full is InsufficientWindowError else "exact")
     assert fused == full

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -6,6 +7,8 @@ import pytest
 from tracelift.psido import (
     InsufficientWindowError,
     LogDerivationTag,
+    _falling,
+    _gbinom,
     apply_log_derivation,
     bracket_series_check,
     bracket_series_symbol,
@@ -153,3 +156,11 @@ def test_format_parse_roundtrip_two_vars():
 
 def test_parse_zero():
     assert parse_symbol("0", 1, D).is_zero_on_window()
+
+
+@pytest.mark.parametrize("b", [-5, -2, -1, 0, 3])
+def test_gbinom_is_an_exact_integer(b):
+    for k in range(8):
+        value = _gbinom(b, k)
+        assert type(value) is int
+        assert value == Fraction(_falling(b, k), math.factorial(k))
