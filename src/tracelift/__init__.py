@@ -53,6 +53,7 @@ from .context import (
 from .freetrace import (
     certify_in_relation_span,
     certify_leibniz_sum_identity,
+    free_trace_combine,
     relation_basis,
     symbolic_differential,
     symbolic_expand,
@@ -72,6 +73,6 @@ from .psido import (
     parse_symbol,
     residue_trace,
 )
-from .words import canonicalize_cyclic, free_trace_combine
+from .words import canonicalize_cyclic
 
 __all__ = [name for name in dir() if not name.startswith("_")]

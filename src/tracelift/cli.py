@@ -121,20 +121,30 @@ def cmd_build(args, parser):
     return 0
 
 
-# The descriptor each sampled check evaluates.  It is built before the check
-# runs, so parameters the check cannot take are usage errors.
-DESCRIPTORS = {
-    "axioms": lambda n, l: None,
-    "lemma11": build_S_even,
-    "lemma12": build_S_even,
-    "thm11": build_Psi0,
-    "thm21": lambda n, l: build_Psi_n1(n),
-    "thm23": build_Psi_nl,
-    "key-lemma": build_Psi0,
-    "oracle": build_Psi0,
+def _sampled(verify):
+    return lambda desc, ctx, a: verify(a.n, a.l, ctx, trials=a.trials, seed=a.seed)
+
+
+def _cocycle(check, *params):
+    return lambda desc, ctx, a: verify_cocycle(
+        desc, ctx, a.trials, a.seed, check=check,
+        params={p: getattr(a, p) for p in params})
+
+
+# check -> (builder of the descriptor it evaluates, runner).  The descriptor
+# is built before the check runs, so parameters the check cannot take are
+# usage errors.
+SAMPLED_CHECKS = {
+    "axioms": (lambda n, l: None,
+               lambda desc, ctx, a: check_axioms(ctx, trials=a.trials, seed=a.seed)),
+    "lemma11": (build_S_even, _sampled(verify_even_sum_vanishes)),
+    "lemma12": (build_S_even, _sampled(verify_shortening_sign)),
+    "thm11": (build_Psi0, _cocycle("psi0_cocycle", "n", "l")),
+    "thm21": (lambda n, l: build_Psi_n1(n), _cocycle("psi_n1_cocycle", "n")),
+    "thm23": (build_Psi_nl, _cocycle("psi_nl_cocycle", "n", "l")),
+    "key-lemma": (build_Psi0, _sampled(verify_inner_tilde_cocycle)),
+    "oracle": (build_Psi0, _sampled(verify_oracle_agreement)),
 }
-COCYCLES = {"thm11": "psi0_cocycle", "thm21": "psi_n1_cocycle",
-            "thm23": "psi_nl_cocycle"}
 
 
 def _run_check(check, args, parser) -> int:
@@ -142,27 +152,14 @@ def _run_check(check, args, parser) -> int:
     too shallow for an exact coefficient are usage errors, not failures."""
     if args.trials < 1:
         parser.error("--trials must be >= 1")
+    build, run = SAMPLED_CHECKS[check]
     try:
         ctx = _make_context(args, parser)
-        desc = DESCRIPTORS[check](args.n, args.l)
+        desc = build(args.n, args.l)
     except ValueError as exc:
         parser.error(str(exc))
-    n, l, trials, seed = args.n, args.l, args.trials, args.seed
     try:
-        if check == "axioms":
-            rep = check_axioms(ctx, trials=trials, seed=seed)
-        elif check == "lemma11":
-            rep = verify_even_sum_vanishes(n, l, ctx, trials=trials, seed=seed)
-        elif check == "lemma12":
-            rep = verify_shortening_sign(n, l, ctx, trials=trials, seed=seed)
-        elif check == "key-lemma":
-            rep = verify_inner_tilde_cocycle(n, l, ctx, trials=trials, seed=seed)
-        elif check == "oracle":
-            rep = verify_oracle_agreement(n, l, ctx, trials=trials, seed=seed)
-        else:
-            params = {"n": n} if check == "thm21" else {"n": n, "l": l}
-            rep = verify_cocycle(desc, ctx, trials, seed,
-                                 check=COCYCLES[check], params=params)
+        rep = run(desc, ctx, args)
     except InsufficientWindowError as exc:
         parser.error(str(exc))
     _emit_report(rep.to_dict(), args.format, args.out)

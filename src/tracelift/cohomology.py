@@ -233,7 +233,8 @@ def verify_shortening_sign(n: int, l: int, ctx, trials: int, seed: int) -> Verif
             if y != 0 and matched is None:
                 matched = 1 if x == y else (-1 if x == -y else None)
             ok = (x == y == 0) or (matched is not None and x == matched * y)
-            entry = _residual_entry(t, 0 if ok else (x if y == 0 else x - matched * y if matched else x))
+            residual = x - matched * y if matched else x
+            entry = _residual_entry(t, 0 if ok else residual)
             entry["sequence"] = "".join(map(str, a.bits))
             report.trials.append(entry)
             report.terms_evaluated += _term_count(r_desc, length) + (

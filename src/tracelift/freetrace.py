@@ -3,13 +3,15 @@
 Everything here is exact and backend-free: descriptors are alternated
 formally, words are accumulated as cyclic-word -> rational maps, and
 identities are certified by the map coming out empty (or by exact linear
-algebra over the span of trace-annihilation relations).  Commuting
-derivations are encoded structurally: a second-order letter stores its
-derivation pair unordered.
+algebra over the span of trace-annihilation relations).  Coefficients are
+summed as integer numerators over one common denominator, one ``Fraction``
+per surviving cyclic word.  Commuting derivations are encoded
+structurally: a second-order letter stores its derivation pair unordered.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from fractions import Fraction
 
@@ -25,6 +27,22 @@ from .words import (
 )
 
 
+def free_trace_combine(terms, denominator=1) -> dict:
+    """Accumulate (word, numerator) pairs into a CyclicWord -> Fraction map.
+
+    Each value is the summed numerators of one cyclic word over
+    ``denominator``; exact zeros are dropped, so an identically-zero trace
+    expression yields the empty map.
+    """
+    canonical = canonicalize_cyclic
+    acc: dict = {}
+    get = acc.get
+    for word, num in terms:
+        cw = canonical(word)
+        acc[cw] = get(cw, 0) + num
+    return {cw: Fraction(v, denominator) for cw, v in acc.items() if v}
+
+
 def _apply_deriv_atom(d: int, atom):
     """Leibniz action of D_d on one letter, commuting encoding."""
     kind = atom[0]
@@ -35,71 +53,99 @@ def _apply_deriv_atom(d: int, atom):
     raise ValueError(f"derivation undefined on letter kind {kind!r}")
 
 
+def _leibniz(d: int, word):
+    """The words of D_d(word) by the Leibniz rule, one per letter hit."""
+    for pos, atom in enumerate(word):
+        yield word[:pos] + (_apply_deriv_atom(d, atom),) + word[pos + 1 :]
+
+
+def _q_slots(w) -> int:
+    return sum(slot[0] == "q" for slot in w.slots)
+
+
+def _denominator(descs) -> int:
+    """Common denominator of every expansion term: each word contributes its
+    coefficient's denominator times 2 per Q slot."""
+    return math.lcm(*(w.coeff.denominator << _q_slots(w) for d in descs for w in d.words))
+
+
+def _expansion_terms(desc: CochainDescriptor, den: int):
+    """(word, integer numerator over ``den``) of every alternated term;
+    wrapped words are expanded by the Leibniz rule over every slot.
+
+    The derivation alternation is resolved first, into one plan per
+    (tau, word) that a Q_{d,d} does not kill; the argument permutations
+    then stream over the plans.
+    """
+    plans = []
+    for tau, stau in signed_permutations(desc.n):
+        for w in desc.words:
+            num = stau * w.coeff.numerator * (den // (w.coeff.denominator << _q_slots(w)))
+            slots = []
+            for slot in w.slots:
+                d = qa = None
+                if slot[0] == "d":
+                    d = tau[slot[2] - 1] + 1
+                elif slot[0] == "q":
+                    qa, qs = qatom(tau[slot[2] - 1] + 1, tau[slot[3] - 1] + 1)
+                    if qa is None:
+                        break
+                    # the 1/2 per Q in den undoes the label-swap double count
+                    num *= qs
+                slots.append((slot[1] - 1, d, qa))
+            else:
+                outer = None if w.outer_dslot is None else tau[w.outer_dslot - 1] + 1
+                plans.append((num, outer, slots))
+    for sigma, ssig in signed_permutations(desc.arity):
+        for num, outer, slots in plans:
+            atoms = []
+            for pos, d, qa in slots:
+                a_idx = sigma[pos] + 1
+                atoms.append(arg(a_idx) if d is None else first_order(d, a_idx))
+                if qa is not None:
+                    atoms.append(qa)
+            word = tuple(atoms)
+            if outer is None:
+                yield word, num * ssig
+            else:
+                for hit in _leibniz(outer, word):
+                    yield hit, num * ssig
+
+
 def symbolic_expand(desc: CochainDescriptor) -> dict:
     """Fully alternated expansion of a descriptor into cyclic words.
 
     Wrapped words (outer derivation outside the trace) are expanded by the
     Leibniz rule over every slot.
     """
-    acc: dict = {}
-
-    def add(word, coeff):
-        cw = canonicalize_cyclic(word)
-        c = acc.get(cw, 0) + coeff
-        if c == 0:
-            acc.pop(cw, None)
-        else:
-            acc[cw] = c
-
-    for tau, stau in signed_permutations(desc.n):
-        for w in desc.words:
-            base_coeff = w.coeff * stau
-            for sigma, ssig in signed_permutations(desc.arity):
-                atoms = []
-                sign = 1
-                dead = False
-                for slot in w.slots:
-                    kind = slot[0]
-                    a_idx = sigma[slot[1] - 1] + 1
-                    if kind == "p":
-                        atoms.append(arg(a_idx))
-                    elif kind == "d":
-                        atoms.append(first_order(tau[slot[2] - 1] + 1, a_idx))
-                    else:
-                        qa, qs = qatom(tau[slot[2] - 1] + 1, tau[slot[3] - 1] + 1)
-                        if qa is None:
-                            dead = True
-                            break
-                        atoms.append(arg(a_idx))
-                        atoms.append(qa)
-                        # undo the label-swap double count inside one Q
-                        sign *= Fraction(qs, 2)
-                if dead:
-                    continue
-                coeff = base_coeff * ssig * sign
-                if w.outer_dslot is None:
-                    add(tuple(atoms), coeff)
-                else:
-                    d = tau[w.outer_dslot - 1] + 1
-                    for pos in range(len(atoms)):
-                        if atoms[pos][0] == "q":
-                            raise ValueError("outer derivation over Q letters unsupported")
-                        hit = _apply_deriv_atom(d, atoms[pos])
-                        add(tuple(atoms[:pos]) + (hit,) + tuple(atoms[pos + 1 :]), coeff)
-    return acc
+    den = _denominator([desc])
+    return free_trace_combine(_expansion_terms(desc, den), den)
 
 
-def _mul_element(words, elem):
-    """Concatenate every (coeff, letters) of ``words`` with those of ``elem``."""
-    return [(c1 * c2, ls1 + ls2) for c1, ls1 in words for c2, ls2 in elem]
-
-
-def _deriv_element(d: int, elem):
-    out = []
-    for c, ls in elem:
-        for pos in range(len(ls)):
-            out.append((c, ls[:pos] + (_apply_deriv_atom(d, ls[pos]),) + ls[pos + 1 :]))
-    return out
+def _differential_terms(desc: CochainDescriptor, den: int):
+    """(word, integer numerator over ``den``) of every term of the
+    differential; each slot's factor is a list of (letters, sign)."""
+    k = desc.arity
+    for u, v in itertools.combinations(range(1, k + 2), 2):
+        pair_sign = -1 if (u + v) % 2 else 1
+        elements = [[((arg(u), arg(v)), 1), ((arg(v), arg(u)), -1)]]
+        elements += [[((arg(w),), 1)] for w in range(1, k + 2) if w not in (u, v)]
+        for tau, stau in signed_permutations(desc.n):
+            for w in desc.words:
+                if w.outer_dslot is not None:
+                    raise ValueError("wrapped words have no differential here")
+                base = pair_sign * stau * w.coeff.numerator * (den // w.coeff.denominator)
+                for sigma, ssig in signed_permutations(desc.arity):
+                    prod = [((), base * ssig)]
+                    for slot in w.slots:
+                        elem = elements[sigma[slot[1] - 1]]
+                        if slot[0] == "d":
+                            d = tau[slot[2] - 1] + 1
+                            elem = [(hit, c) for ls, c in elem for hit in _leibniz(d, ls)]
+                        elif slot[0] != "p":
+                            raise ValueError("symbolic differential of Q-fused slots unsupported")
+                        prod = [(ls1 + ls2, c1 * c2) for ls1, c1 in prod for ls2, c2 in elem]
+                    yield from prod
 
 
 def symbolic_differential(desc: CochainDescriptor) -> dict:
@@ -109,46 +155,8 @@ def symbolic_differential(desc: CochainDescriptor) -> dict:
     [A_u, A_v] is substituted as a two-word element and derivation slots
     act on it by Leibniz (commuting encoding).
     """
-    k = desc.arity
-    acc: dict = {}
-
-    def add(word, coeff):
-        cw = canonicalize_cyclic(word)
-        c = acc.get(cw, 0) + coeff
-        if c == 0:
-            acc.pop(cw, None)
-        else:
-            acc[cw] = c
-
-    for u in range(1, k + 2):
-        for v in range(u + 1, k + 2):
-            pair_sign = -1 if (u + v) % 2 else 1
-            rest = [w for w in range(1, k + 2) if w not in (u, v)]
-            elements = [
-                [(Fraction(1), (arg(u), arg(v))), (Fraction(-1), (arg(v), arg(u)))]
-            ] + [[(Fraction(1), (arg(w),))] for w in rest]
-            for tau, stau in signed_permutations(desc.n):
-                for w in desc.words:
-                    if w.outer_dslot is not None:
-                        raise ValueError("wrapped words have no differential here")
-                    for sigma, ssig in signed_permutations(desc.arity):
-                        prod = [(w.coeff, ())]
-                        for slot in w.slots:
-                            kind = slot[0]
-                            elem = elements[sigma[slot[1] - 1]]
-                            if kind == "p":
-                                prod = _mul_element(prod, elem)
-                            elif kind == "d":
-                                d = tau[slot[2] - 1] + 1
-                                prod = _mul_element(prod, _deriv_element(d, elem))
-                            else:
-                                raise ValueError(
-                                    "symbolic differential of Q-fused slots unsupported"
-                                )
-                        coeff0 = pair_sign * stau * ssig
-                        for c, ls in prod:
-                            add(ls, coeff0 * c)
-    return acc
+    den = _denominator([desc])
+    return free_trace_combine(_differential_terms(desc, den), den)
 
 
 # ---------------------------------------------------------------------------
@@ -161,19 +169,7 @@ def leibniz_trace_relation(d: int, word) -> dict:
     Each such expression vanishes for every algebra satisfying the
     trace-annihilation condition, so these maps generate the relation span.
     """
-    out = []
-    for pos in range(len(word)):
-        hit = _apply_deriv_atom(d, word[pos])
-        out.append((tuple(word[:pos]) + (hit,) + tuple(word[pos + 1 :]), Fraction(1)))
-    acc: dict = {}
-    for wd, c in out:
-        cw = canonicalize_cyclic(wd)
-        t = acc.get(cw, 0) + c
-        if t == 0:
-            acc.pop(cw, None)
-        else:
-            acc[cw] = t
-    return acc
+    return free_trace_combine((hit, 1) for hit in _leibniz(d, tuple(word)))
 
 
 def relation_basis(arg_count: int, n: int, inner_order: int):
@@ -184,57 +180,75 @@ def relation_basis(arg_count: int, n: int, inner_order: int):
     ``inner_order`` first-order letters carrying distinct derivation
     indices; the outer index d runs over the unused indices.
     """
-    import itertools
-
     gens = []
     for perm in itertools.permutations(range(2, arg_count + 1)):
         order = (1,) + perm
         for positions in itertools.combinations(range(arg_count), inner_order):
             for dchoice in itertools.permutations(range(1, n + 1), inner_order):
-                word = []
                 dmap = dict(zip(positions, dchoice))
-                for pos, a_idx in enumerate(order):
-                    if pos in dmap:
-                        word.append(first_order(dmap[pos], a_idx))
-                    else:
-                        word.append(arg(a_idx))
-                used = set(dchoice)
+                word = tuple(first_order(dmap[pos], a_idx) if pos in dmap else arg(a_idx)
+                             for pos, a_idx in enumerate(order))
                 for d in range(1, n + 1):
-                    if d in used:
-                        continue
-                    g = leibniz_trace_relation(d, tuple(word))
-                    if g:
-                        gens.append(g)
+                    if d not in dchoice:
+                        g = leibniz_trace_relation(d, word)
+                        if g:
+                            gens.append(g)
     return gens
 
 
-def solve_rational(matrix, rhs):
-    """Gaussian elimination over Fractions; returns a solution or None."""
-    rows = [list(map(Fraction, r)) + [Fraction(v)] for r, v in zip(matrix, rhs)]
-    ncols = len(matrix[0]) if matrix else 0
+def _primitive(row):
+    """An integer row divided by the gcd of its entries."""
+    g = math.gcd(*row)
+    return [x // g for x in row] if g > 1 else row
+
+
+def _integer_gauss_jordan(matrix, rhs):
+    """Fraction-free Gauss-Jordan elimination of [matrix | rhs]; returns the
+    reduced integer rows and the pivot columns.
+
+    Each row is scaled to primitive integers.  A row hit by pivot row y at
+    pivot value pv becomes ``x*pv - f*y``, made primitive again, so it stays
+    a nonzero multiple of its row in the reduced row echelon form and its
+    entries stay small.
+    """
+    rows = []
+    for r, v in zip(matrix, rhs):
+        row = list(map(Fraction, r)) + [Fraction(v)]
+        den = math.lcm(*(x.denominator for x in row))
+        rows.append(_primitive([x.numerator * (den // x.denominator) for x in row]))
     pivots = []
     r = 0
-    for c in range(ncols):
-        piv = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
+    for c in range(len(matrix[0]) if matrix else 0):
+        piv = next((i for i in range(r, len(rows)) if rows[i][c]), None)
         if piv is None:
             continue
         rows[r], rows[piv] = rows[piv], rows[r]
-        pv = rows[r][c]
-        rows[r] = [x / pv for x in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][c] != 0:
-                f = rows[i][c]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
+        prow = rows[r]
+        pv = prow[c]
+        for i, row in enumerate(rows):
+            f = row[c]
+            if i != r and f:
+                rows[i] = _primitive([x * pv - f * y for x, y in zip(row, prow)])
         pivots.append(c)
         r += 1
         if r == len(rows):
             break
-    for i in range(r, len(rows)):
-        if rows[i][ncols] != 0:
-            return None
+    return rows, pivots
+
+
+def solve_rational(matrix, rhs):
+    """Solve ``matrix x = rhs`` exactly; returns a solution (free variables
+    0, as Gauss-Jordan over the rationals gives) or None.
+
+    After the elimination the solution is rhs_i / pivot_i on each pivot row.
+    """
+    rows, pivots = _integer_gauss_jordan(matrix, rhs)
+    ncols = len(matrix[0]) if matrix else 0
+    if any(row[ncols] for row in rows[len(pivots):]):
+        return None
     sol = [Fraction(0)] * ncols
     for i, c in enumerate(pivots):
-        sol[c] = rows[i][ncols]
+        sol[c] = Fraction(rows[i][ncols], rows[i][c])
     return sol
 
 
@@ -261,7 +275,7 @@ def certify_in_relation_span(expr: dict, basis):
 # ---------------------------------------------------------------------------
 
 # Largest predicted Leibniz-term count certify_leibniz_sum_identity accepts.
-# The largest computed case, (2,3), has 5,160,960 terms (248 s); the next
+# The largest computed case, (2,3), has 5,160,960 terms (48 s); the next
 # ones, (5,1) and (4,2), have 1.1e8 and 3.1e8 (see docs/leibniz_sum_factor.md).
 LEIBNIZ_TERM_BUDGET = 10_000_000
 
@@ -277,8 +291,8 @@ def certify_leibniz_sum_identity(n: int, l: int, size_bound: int = 8) -> dict:
     """Certify the Leibniz-sum identity sum_a S_tilde(a) = (n + 2l) S_even
     after full symbolic Leibniz expansion.
 
-    Expands every wrapped sum, accumulates cyclic words, and compares the
-    total against the even-sequence sum.  By the Leibniz rule the wrapped
+    Expands every wrapped sum in one pass, accumulates cyclic words, and
+    compares the total against the even-sequence sum.  By the Leibniz rule the wrapped
     derivation hits the demoted slot (n copies of S_even over all wrapped
     words), one of the 2l plain slots (2l copies in total, after the
     argument alternation), or another derivation slot (second-order
@@ -303,11 +317,11 @@ def certify_leibniz_sum_identity(n: int, l: int, size_bound: int = 8) -> dict:
             f"(n, l) = ({n}, {l}) needs {terms:,} Leibniz terms, over the "
             f"budget of {LEIBNIZ_TERM_BUDGET:,}"
         )
-    tilde_total: dict = {}
-    for a in enumerate_a_even(n, l):
-        tilde_total = combine_maps(
-            [(tilde_total, Fraction(1)), (symbolic_expand(build_S_tilde(a)), Fraction(1))]
-        )
+    tildes = [build_S_tilde(a) for a in enumerate_a_even(n, l)]
+    den = _denominator(tildes)
+    tilde_total = free_trace_combine(
+        itertools.chain.from_iterable(_expansion_terms(t, den) for t in tildes), den
+    )
     target = symbolic_expand(build_S_even(n, l))
     observed = None
     ratios = {Fraction(tilde_total.get(k, 0), v) for k, v in target.items()}

@@ -17,7 +17,7 @@ atoms (kind rank 'a' < 'f' < 's' < 'q' < 'g', then indices).
 
 from __future__ import annotations
 
-from fractions import Fraction
+import functools
 
 _KIND_RANK = {"a": 0, "f": 1, "s": 2, "q": 3, "g": 4}
 
@@ -49,48 +49,31 @@ def gen(d: int):
     return ("g", d)
 
 
+@functools.cache
 def atom_key(atom):
+    """Sort key of one atom; memoized, since the atoms of a run are few."""
     return (_KIND_RANK[atom[0]],) + atom[1:]
-
-
-def word_key(word):
-    return tuple(atom_key(a) for a in word)
 
 
 def canonicalize_cyclic(word):
     """Lexicographically minimal rotation of ``word`` (a tuple of atoms).
 
-    Idempotent and invariant under rotation; the empty word maps to itself.
+    Each atom's key is looked up once; rotations are compared as slices of
+    the doubled key list, the first minimal one winning.  Idempotent and
+    invariant under rotation; the empty word maps to itself.
     """
     word = tuple(word)
     n = len(word)
     if n <= 1:
         return word
-    best = word
-    best_key = word_key(word)
+    keys = list(map(atom_key, word))
+    keys += keys
+    best, best_key = 0, keys[:n]
     for r in range(1, n):
-        rot = word[r:] + word[:r]
-        k = word_key(rot)
+        k = keys[r : r + n]
         if k < best_key:
-            best, best_key = rot, k
-    return best
-
-
-def free_trace_combine(pairs):
-    """Accumulate (word, coefficient) pairs into a CyclicWord -> Rational map.
-
-    Identical cyclic words have their coefficients summed; exact zeros are
-    dropped, so an identically-zero trace expression yields the empty map.
-    """
-    acc: dict = {}
-    for word, coeff in pairs:
-        cw = canonicalize_cyclic(word)
-        c = acc.get(cw, 0) + coeff
-        if c == 0:
-            acc.pop(cw, None)
-        else:
-            acc[cw] = c
-    return acc
+            best, best_key = r, k
+    return word[best:] + word[:best]
 
 
 def combine_maps(maps_with_coeffs):
@@ -106,9 +89,3 @@ def combine_maps(maps_with_coeffs):
             else:
                 acc[cw] = t
     return acc
-
-
-def scale_map(m, c):
-    if c == 0:
-        return {}
-    return {k: c * v for k, v in m.items()}

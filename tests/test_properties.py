@@ -6,8 +6,10 @@ The kernel is checked against the naive oracle on random valid descriptors
 coefficients other than 1), for antisymmetry in its arguments, and for a
 lossless JSON round trip of the descriptor; ``trace_mul`` against the trace
 of the full product on both backends, including where the psido window is
-too shallow; and the integer-numerator psido operations against the
-per-contribution ``Fraction`` formulas kept below as the reference.
+too shallow; the integer-numerator psido operations against the
+per-contribution ``Fraction`` formulas kept below as the reference; and the
+free-trace layer (integer-numerator expansions, fraction-free span solve)
+against ``Fraction`` references kept below as well.
 """
 
 import itertools
@@ -27,7 +29,14 @@ from tracelift.cochains import (
     evaluate,
 )
 from tracelift.cohomology import sample_args
+from tracelift.combinatorics import signed_permutations
 from tracelift.context import random_matrix_context
+from tracelift.freetrace import (
+    _integer_gauss_jordan,
+    solve_rational,
+    symbolic_differential,
+    symbolic_expand,
+)
 from tracelift.matrices import mat_mul, mat_trace, mat_trace_mul
 from tracelift.naive import naive_evaluate
 from tracelift.psido import (
@@ -45,6 +54,7 @@ from tracelift.psido import (
     sym_scale,
     sym_sub,
 )
+from tracelift.words import arg, canonicalize_cyclic, first_order, qatom, second_order
 
 coefficients = st.builds(
     Fraction, st.sampled_from([-3, -2, -1, 1, 2, 3]), st.integers(1, 4)
@@ -287,3 +297,191 @@ def test_psido_arithmetic_matches_fraction_reference(ab, kind, data):
     full = _residue_or_fault(lambda: residue_trace(_compose_ref(a, b)))
     event("fault" if full is InsufficientWindowError else "exact")
     assert fused == full
+
+
+# The per-term Fraction formulas of the free-trace layer: every term's
+# coefficient a Fraction, summed into the map as it comes, zeros popped, and
+# the span solved by Gauss-Jordan over Fractions.  The library sums integer
+# numerators over one denominator and eliminates fraction-free instead.
+
+def _accumulate_ref(acc, word, coeff):
+    cw = canonicalize_cyclic(word)
+    c = acc.get(cw, 0) + coeff
+    if c == 0:
+        acc.pop(cw, None)
+    else:
+        acc[cw] = c
+
+
+def _deriv_atom_ref(d, atom):
+    if atom[0] == "a":
+        return first_order(d, atom[1])
+    if atom[0] == "f":
+        return second_order(d, atom[1], atom[2])
+    raise ValueError(atom)
+
+
+def _symbolic_expand_ref(desc):
+    acc = {}
+    for tau, stau in signed_permutations(desc.n):
+        for w in desc.words:
+            for sigma, ssig in signed_permutations(desc.arity):
+                atoms, coeff = [], w.coeff * stau * ssig
+                for slot in w.slots:
+                    a_idx = sigma[slot[1] - 1] + 1
+                    if slot[0] == "p":
+                        atoms.append(arg(a_idx))
+                    elif slot[0] == "d":
+                        atoms.append(first_order(tau[slot[2] - 1] + 1, a_idx))
+                    else:
+                        qa, qs = qatom(tau[slot[2] - 1] + 1, tau[slot[3] - 1] + 1)
+                        if qa is None:
+                            break
+                        atoms += [arg(a_idx), qa]
+                        coeff *= Fraction(qs, 2)
+                else:
+                    if w.outer_dslot is None:
+                        _accumulate_ref(acc, tuple(atoms), coeff)
+                        continue
+                    d = tau[w.outer_dslot - 1] + 1
+                    for pos in range(len(atoms)):
+                        hit = atoms[:pos] + [_deriv_atom_ref(d, atoms[pos])] + atoms[pos + 1:]
+                        _accumulate_ref(acc, tuple(hit), coeff)
+    return acc
+
+
+def _symbolic_differential_ref(desc):
+    k = desc.arity
+    acc = {}
+    for u, v in itertools.combinations(range(1, k + 2), 2):
+        rest = [w for w in range(1, k + 2) if w not in (u, v)]
+        elements = [[(Fraction(1), (arg(u), arg(v))), (Fraction(-1), (arg(v), arg(u)))]]
+        elements += [[(Fraction(1), (arg(w),))] for w in rest]
+        for tau, stau in signed_permutations(desc.n):
+            for w in desc.words:
+                for sigma, ssig in signed_permutations(k):
+                    prod = [(w.coeff, ())]
+                    for slot in w.slots:
+                        elem = elements[sigma[slot[1] - 1]]
+                        if slot[0] == "d":
+                            d = tau[slot[2] - 1] + 1
+                            elem = [(c, ls[:p] + (_deriv_atom_ref(d, ls[p]),) + ls[p + 1:])
+                                    for c, ls in elem for p in range(len(ls))]
+                        prod = [(c1 * c2, l1 + l2) for c1, l1 in prod for c2, l2 in elem]
+                    for c, ls in prod:
+                        _accumulate_ref(acc, ls, (-1) ** (u + v) * stau * ssig * c)
+    return acc
+
+
+def _solve_ref(matrix, rhs):
+    rows = [list(map(Fraction, r)) + [Fraction(v)] for r, v in zip(matrix, rhs)]
+    ncols = len(matrix[0]) if matrix else 0
+    pivots, r = [], 0
+    for c in range(ncols):
+        piv = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
+        if piv is None:
+            continue
+        rows[r], rows[piv] = rows[piv], rows[r]
+        rows[r] = [x / rows[r][c] for x in rows[r]]
+        for i in range(len(rows)):
+            if i != r and rows[i][c] != 0:
+                f = rows[i][c]
+                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
+        pivots.append(c)
+        r += 1
+        if r == len(rows):
+            break
+    if any(rows[i][ncols] != 0 for i in range(r, len(rows))):
+        return None
+    sol = [Fraction(0)] * ncols
+    for i, c in enumerate(pivots):
+        sol[c] = rows[i][ncols]
+    return sol
+
+
+wide_coefficients = st.builds(
+    Fraction, st.sampled_from([-5, -3, -2, -1, 1, 2, 3, 5]), st.integers(1, 6)
+)
+
+
+@st.composite
+def expansion_descriptors(draw):
+    """Descriptors with coefficients such as 1/3 and -5/2; a word without Q
+    slots may instead be wrapped: one derived slot turns plain and its
+    derivation moves outside the trace."""
+    desc = draw(descriptors())
+    ws = []
+    for w in desc.words:
+        slots, outer = w.slots, None
+        dslots = [k for k, s in enumerate(slots) if s[0] == "d"]
+        if dslots and all(s[0] != "q" for s in slots) and draw(st.booleans()):
+            k = draw(st.sampled_from(dslots))
+            outer = slots[k][2]
+            slots = slots[:k] + (("p", slots[k][1]),) + slots[k + 1:]
+        ws.append(TermWord(draw(wide_coefficients), slots, outer))
+    return CochainDescriptor(desc.arity, desc.n, tuple(ws))
+
+
+@settings(max_examples=60, deadline=None)
+@given(expansion_descriptors())
+def test_symbolic_expand_matches_fraction_reference(desc):
+    got = symbolic_expand(desc)
+    event("empty" if not got else "nonempty")
+    assert got == _symbolic_expand_ref(desc)
+    assert all(type(v) is Fraction for v in got.values())
+
+
+@st.composite
+def differential_descriptors(draw):
+    """Unwrapped descriptors with plain and derived slots only, n <= 2, and
+    n + arity odd (with n + arity even the differential is identically 0)."""
+    n = draw(st.integers(1, 2))
+    arity = draw(st.sampled_from([k for k in range(n, 5) if (n + k) % 2]))
+    ws = []
+    for _ in range(draw(st.integers(1, 3))):
+        kinds = draw(st.permutations(["d"] * n + ["p"] * (arity - n)))
+        labels = iter(draw(st.permutations(range(1, n + 1))))
+        slots = tuple(("p", pos) if kind == "p" else ("d", pos, next(labels))
+                      for pos, kind in enumerate(kinds, start=1))
+        ws.append(TermWord(draw(wide_coefficients), slots))
+    return CochainDescriptor(arity, n, tuple(ws))
+
+
+@settings(max_examples=40, deadline=None)
+@given(differential_descriptors())
+def test_symbolic_differential_matches_fraction_reference(desc):
+    got = symbolic_differential(desc)
+    event("empty" if not got else "nonempty")
+    assert got == _symbolic_differential_ref(desc)
+    assert all(type(v) is Fraction for v in got.values())
+
+
+@st.composite
+def linear_systems(draw):
+    """[matrix | rhs] over small rationals, mostly zero: rank-deficient when
+    a row is a combination of others, consistent when rhs is matrix @ x."""
+    m, k = draw(st.integers(1, 5)), draw(st.integers(1, 5))
+    entry = st.one_of(st.just(Fraction(0)), wide_coefficients)
+    matrix = [[draw(entry) for _ in range(k)] for _ in range(m)]
+    if m >= 2 and draw(st.booleans()):
+        a, b = draw(wide_coefficients), draw(wide_coefficients)
+        matrix[-1] = [a * x + b * y for x, y in zip(matrix[0], matrix[1])]
+    if draw(st.booleans()):
+        x = [draw(entry) for _ in range(k)]
+        rhs = [sum(a * b for a, b in zip(row, x)) for row in matrix]
+    else:
+        rhs = [draw(entry) for _ in range(m)]
+    return matrix, rhs
+
+
+@settings(max_examples=300, deadline=None)
+@given(linear_systems())
+def test_solve_rational_matches_fraction_reference(system):
+    matrix, rhs = system
+    got = solve_rational(matrix, rhs)
+    event("inconsistent" if got is None else "solved")
+    assert got == _solve_ref(matrix, rhs)
+    assert got is None or all(type(v) is Fraction for v in got)
+    # the elimination keeps its integer rows primitive
+    rows, _ = _integer_gauss_jordan(matrix, rhs)
+    assert all(math.gcd(*row) in (0, 1) for row in rows)

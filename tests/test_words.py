@@ -3,12 +3,14 @@ from fractions import Fraction
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tracelift.freetrace import free_trace_combine
 from tracelift.words import (
     arg,
+    atom_key,
     canonicalize_cyclic,
     combine_maps,
     first_order,
-    free_trace_combine,
+    gen,
     qatom,
     second_order,
 )
@@ -42,6 +44,44 @@ def test_canonicalize_any_rotation(labels, shift):
     w = tuple(arg(i) for i in labels)
     k = shift % len(w)
     assert canonicalize_cyclic(w[k:] + w[:k]) == canonicalize_cyclic(w)
+
+
+def _canonicalize_reference(word):
+    """The O(L^2) canonicalization: every rotation's key built in full, the
+    first minimal rotation kept."""
+    word = tuple(word)
+    best, best_key = word, tuple(atom_key(a) for a in word)
+    for r in range(1, len(word)):
+        rot = word[r:] + word[:r]
+        key = tuple(atom_key(a) for a in rot)
+        if key < best_key:
+            best, best_key = rot, key
+    return best
+
+
+indices = st.integers(1, 3)
+atoms = st.one_of(
+    st.builds(arg, indices),
+    st.builds(first_order, indices, indices),
+    st.builds(second_order, indices, indices, indices),
+    st.tuples(indices, indices).filter(lambda de: de[0] != de[1]).map(lambda de: qatom(*de)[0]),
+    st.builds(gen, indices),
+)
+mixed_words = st.one_of(
+    st.lists(atoms, max_size=10).map(tuple),
+    st.tuples(st.lists(atoms, min_size=1, max_size=5).map(tuple), st.integers(2, 3))
+    .map(lambda wk: (wk[0] * wk[1])[:10]),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(mixed_words, st.integers(0, 9))
+def test_canonicalize_matches_reference_on_mixed_words(w, shift):
+    c = canonicalize_cyclic(w)
+    assert c == _canonicalize_reference(w)
+    assert canonicalize_cyclic(c) == c
+    k = shift % len(w) if w else 0
+    assert canonicalize_cyclic(w[k:] + w[:k]) == c
 
 
 def test_free_trace_combine_cancels():
