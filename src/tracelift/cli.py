@@ -148,8 +148,9 @@ SAMPLED_CHECKS = {
 
 
 def _run_check(check, args, parser) -> int:
-    """Run a sampled check and emit its report.  Bad parameters and a window
-    too shallow for an exact coefficient are usage errors, not failures."""
+    """Run a sampled check and emit its report.  Bad parameters, a window
+    too shallow for an exact coefficient and a context the check does not
+    apply to are usage errors, not failures."""
     if args.trials < 1:
         parser.error("--trials must be >= 1")
     build, run = SAMPLED_CHECKS[check]
@@ -162,6 +163,9 @@ def _run_check(check, args, parser) -> int:
         rep = run(desc, ctx, args)
     except InsufficientWindowError as exc:
         parser.error(str(exc))
+    if "inapplicable" in rep.params:
+        parser.error(f"{check} is inapplicable: {rep.params['inapplicable']}; "
+                     "pass --commuting")
     _emit_report(rep.to_dict(), args.format, args.out)
     return 0 if rep.passed else 1
 

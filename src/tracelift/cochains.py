@@ -21,13 +21,24 @@ assignments reaching the same pair are summed before the next
 multiplication, and the last slot is fused into the trace through the
 context's ``trace_mul``.  A word costs about one product per reachable state
 and choice instead of one per permutation.
+
+The same kernel computes the Chevalley-Eilenberg differential in one pass
+over the k + 1 arguments: an argument slot may also take the bracket
+[A_u, A_v] of two unused arguments u < v, at most once per path, and the last
+argument slot takes only what completes the argument mask.  A single
+argument keeps the sign rule above.  A bracket step's parity is 1 plus the
+argument slots walked plus the used arguments greater than u plus those
+greater than v: over a path this gives (-1)^(u+v) times the sign of the
+k-argument permutation that puts the bracket first, as in the
+differential's formula.  The constant 1 goes into the word's coefficient,
+and arguments, brackets and their derivatives share one factor memo.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import permutations
+from itertools import combinations, permutations
 
 from .combinatorics import (
     EvenSequence,
@@ -351,52 +362,87 @@ def _check_ascending_args(slots, arity: int):
         raise ValueError(f"argument labels must be 1..{arity} in order: {labels}")
 
 
-def _choices(takes_arg: bool, nder: int, nargs: int, nd: int) -> list:
-    """Every (argument, derivations, argument bit, derivation bits) a slot
-    can take; argument -1 for a slot that takes none."""
-    out = []
-    for a in range(nargs) if takes_arg else (-1,):
-        for es in permutations(range(nd), nder):
-            dbits = 0
-            for e in es:
-                dbits |= 1 << e
-            out.append((a, es, 0 if a < 0 else 1 << a, dbits))
-    return out
+def _choices(takes_arg: bool, nder: int, nargs: int, nd: int, pairs) -> tuple:
+    """The choices a slot can take, as (element, derivations, bits, gt, inv).
+
+    Elements 0..nargs-1 are the arguments and ``nargs + p`` is the bracket
+    of ``pairs[p]``; element -1 stands for a slot that takes no argument.
+    ``bits`` marks what a choice uses in a state mask (arguments from bit 0,
+    derivations from bit ``nargs``), and the step's sign is the parity of
+    ``(state & gt).bit_count() + inv``.  Returns the choices of a state that
+    has taken its bracket (single arguments), of one that must take it now
+    (brackets; single arguments when there are none) and of one that still
+    may (both).
+    """
+    amask = (1 << nargs) - 1
+    singles = [(-1, 0, 0)]
+    if takes_arg:
+        # a single argument: the used arguments above it
+        singles = [(a, 1 << a, amask ^ ((2 << a) - 1)) for a in range(nargs)]
+    # a bracket of u < v: the used arguments not strictly between u and v
+    brackets = [(nargs + p, (1 << u) | (1 << v), amask ^ ((1 << v) - (2 << u)))
+                for p, (u, v) in enumerate(pairs if takes_arg else ())]
+    # derivations: the used ones above each, plus their own inversions
+    ders = []
+    for es in permutations(range(nd), nder):
+        dbits = dgt = 0
+        for e in es:
+            dbits |= 1 << e
+            dgt ^= ((1 << nd) - 1) ^ ((2 << e) - 1)
+        ders.append((es, dbits << nargs, dgt << nargs, perm_sign(es) < 0))
+
+    def combine(elems):
+        return [(x, es, abits | dbits, agt | dgt, inv)
+                for x, abits, agt in elems for es, dbits, dgt, inv in ders]
+
+    singles, forced = combine(singles), combine(brackets)
+    return singles, forced or singles, singles + forced
 
 
-def _alternate(words, ctx, args, nd: int):
+def _alternate(words, ctx, args, nd: int, differential: bool = False):
     """Sum of coeff times the double alternation of each (coeff, slots) word.
 
-    The slots are walked left to right.  A state is the pair (used argument
-    mask, used derivation mask) and holds the signed sum of the products of
+    The slots are walked left to right.  A state is the mask of used
+    arguments and derivations and holds the signed sum of the products of
     every path that reaches it, so paths meet before the next
     multiplication.  A step's sign is the parity of the used elements greater
     than each new choice; the last slot is fused into ``ctx.trace_mul``.
+
+    With ``differential`` the value is d(words) at the k + 1 ``args``, with
+    bracket choices as the module docstring says: a path has taken its
+    bracket when its mask holds one argument more than the argument slots
+    walked, and the bracket step's parity (without the constant 1, which is
+    in the coefficient) is that of the used arguments not strictly between
+    u and v.
+
     On a windowed backend a sum keeps the shallowest window of its terms, so
     the fused trace faults exactly when the trace of some single path would.
     """
     nargs = len(args)
+    amask = (1 << nargs) - 1
+    pairs = tuple(combinations(range(nargs), 2)) if differential else ()
+    elements = tuple(args) + tuple(ctx.bracket(args[u], args[v]) for u, v in pairs)
     choices = {
-        shape: _choices(*shape, nargs, nd)
+        shape: _choices(*shape, nargs, nd, pairs)
         for shape in ((True, 0), (True, 1), (True, 2), (False, 1))
     }
     memo = {}
     qs = {}
 
-    def factor(kind, a, es):
-        key = (kind, a, es)
+    def factor(kind, x, es):
+        key = (kind, x, es)
         f = memo.get(key)
         if f is None:
             if kind == "d":
-                f = ctx.deriv(es[0], args[a])
+                f = ctx.deriv(es[0], elements[x])
             elif kind == "q":
                 if es not in qs:
                     qs[es] = ctx.q(*es)
-                f = ctx.mul(args[a], qs[es])
+                f = ctx.mul(elements[x], qs[es])
             elif kind == "g":
                 f = ctx.generator(es[0])
             else:
-                f = args[a]
+                f = elements[x]
             memo[key] = f
         return f
 
@@ -404,37 +450,43 @@ def _alternate(words, ctx, args, nd: int):
     total = 0
     for coeff, slots in words:
         order = _check_derivation_slots(slots, nd)
+        lastarg = max((p for p, s in enumerate(slots) if s[0] != "g"), default=-1)
+        if differential and lastarg < 0:
+            continue  # nothing to bracket
         # A word naming derivation slots out of order gets that order's sign.
         # The derivation alternation must not antisymmetrize the two indices
         # inside one Q (each swap reproduces the same term via Q_ji = -Q_ij),
         # so the plain sum over-counts by 2 per Q slot.
         nq = sum(1 for s in slots if s[0] == "q")
-        coeff = Fraction(coeff * perm_sign(order), 1 << nq)
-        states = {(0, 0): None}
+        sign = -perm_sign(order) if differential else perm_sign(order)
+        coeff = Fraction(coeff * sign, 1 << nq)
+        states = {0: None}
         value = 0
         last = len(slots) - 1
+        walked = 0
         for pos, slot in enumerate(slots):
             kind = slot[0]
-            options = choices[kind != "g", len(_dslots(slot))]
+            after, forced, free = choices[kind != "g", len(_dslots(slot))]
             nxt = {}
-            for (am, dm), prod in states.items():
-                for a, es, abit, dbits in options:
-                    if am & abit or dm & dbits:
+            for st, prod in states.items():
+                if (st & amask).bit_count() > walked:
+                    options = after
+                elif pos == lastarg:
+                    options = forced
+                else:
+                    options = free
+                for x, es, bits, gt, inv in options:
+                    if st & bits:
                         continue
-                    par = (am >> (a + 1)).bit_count() if abit else 0
-                    m = dm
-                    for e in es:
-                        par += (m >> (e + 1)).bit_count()
-                        m |= 1 << e
-                    neg = par & 1
-                    f = factor(kind, a, es)
+                    neg = ((st & gt).bit_count() + inv) & 1
+                    f = factor(kind, x, es)
                     if pos == last:
                         t = ctx.trace(f) if prod is None else ctx.trace_mul(prod, f)
                         value += -t if neg else t
                         continue
                     if prod is not None:
                         f = mul(prod, f)
-                    key = (am | abit, m)
+                    key = st | bits
                     old = nxt.get(key)
                     if old is not None:
                         f = sub(old, f) if neg else add(old, f)
@@ -442,23 +494,37 @@ def _alternate(words, ctx, args, nd: int):
                         f = ctx.scale(-1, f)
                     nxt[key] = f
             states = nxt
+            walked += kind != "g"
         total += coeff * value
     return total
+
+
+def kernel_words(cochain, ctx) -> list:
+    """The (coeff, slots) words of a descriptor or an inner-expanded
+    cochain, validated for evaluation on ``ctx``."""
+    if isinstance(cochain, ExpandedCochain):
+        words = [(w.coeff, w.letters) for w in cochain.words]
+    else:
+        if ctx.n != cochain.n:
+            raise ValueError(
+                f"context has {ctx.n} derivations, descriptor needs {cochain.n}"
+            )
+        for w in cochain.words:
+            if w.outer_dslot is not None:
+                raise ValueError("wrapped words are symbolic-only; expand first")
+        words = [(w.coeff, w.slots) for w in cochain.words]
+    for _, slots in words:
+        _check_ascending_args(slots, cochain.arity)
+        if any(s[0] == "q" for s in slots) and not getattr(ctx, "has_q", False):
+            raise ValueError("descriptor needs Q but context has none")
+    return words
 
 
 def evaluate(d: CochainDescriptor, ctx, args):
     """Exact value of the double alternation of ``d`` at ``args``."""
     if len(args) != d.arity:
         raise ValueError(f"expected {d.arity} arguments, got {len(args)}")
-    if ctx.n != d.n:
-        raise ValueError(f"context has {ctx.n} derivations, descriptor needs {d.n}")
-    for w in d.words:
-        if w.outer_dslot is not None:
-            raise ValueError("wrapped words are symbolic-only; expand first")
-        _check_ascending_args(w.slots, d.arity)
-        if any(s[0] == "q" for s in w.slots) and not getattr(ctx, "has_q", False):
-            raise ValueError("descriptor needs Q but context has none")
-    return _alternate([(w.coeff, w.slots) for w in d.words], ctx, args, d.n)
+    return _alternate(kernel_words(d, ctx), ctx, args, d.n)
 
 
 def evaluate_expanded(ec: ExpandedCochain, ctx, args):
@@ -466,9 +532,7 @@ def evaluate_expanded(ec: ExpandedCochain, ctx, args):
     generator elements (permuted by the derivation alternation)."""
     if len(args) != ec.arity:
         raise ValueError(f"expected {ec.arity} arguments, got {len(args)}")
-    for w in ec.words:
-        _check_ascending_args(w.letters, ec.arity)
-    return _alternate([(w.coeff, w.letters) for w in ec.words], ctx, args, ec.n)
+    return _alternate(kernel_words(ec, ctx), ctx, args, ec.n)
 
 
 # ---------------------------------------------------------------------------

@@ -6,8 +6,12 @@ The differential follows the standard trivial-coefficients convention
         sum_{i<j} (-1)^{i+j} psi([A_i, A_j], .., ^A_i, .., ^A_j, ..)
 
 whose overall sign is pinned by ``verify_shortening_sign`` (the matched
-sign is recorded, not assumed).  All
-checks are exact: a trial passes iff its residual is literally zero.
+sign is recorded, not assumed).  It is not a sum of one evaluation per
+pair (i, j): ``ce_differential`` runs the alternation kernel once over all
+k + 1 arguments, with an argument slot allowed to take the bracket of two
+unused arguments once per path, and the sign (-1)^(i+j) folded into that
+step's parity (see ``cochains``).  All checks are exact: a trial passes iff
+its residual is literally zero.
 """
 
 from __future__ import annotations
@@ -21,12 +25,14 @@ from fractions import Fraction
 
 from .cochains import (
     CochainDescriptor,
+    _alternate,
     build_Psi0,
     build_S,
     build_R,
     build_S_even,
     evaluate,
     expand_inner,
+    kernel_words,
     split_adjacency,
 )
 from .combinatorics import enumerate_a_even, reduce_sequence, signed_permutations
@@ -75,18 +81,12 @@ def sample_args(ctx, count: int, rng) -> tuple:
 
 
 def ce_differential(cochain, ctx, args):
-    """Differential of any evaluable cochain at arity+1 arguments."""
+    """Differential of a descriptor or an inner-expanded cochain at arity+1
+    arguments, in one kernel pass whose argument slots may take a bracket."""
     if len(args) != cochain.arity + 1:
         raise ValueError(f"expected {cochain.arity + 1} arguments, got {len(args)}")
-    total = 0
-    m = len(args)
-    for i in range(m):
-        for j in range(i + 1, m):
-            br = ctx.bracket(args[i], args[j])
-            rest = tuple(args[k] for k in range(m) if k not in (i, j))
-            sign = 1 if (i + j) % 2 == 0 else -1
-            total += sign * cochain.evaluate(ctx, (br,) + rest)
-    return total
+    words = kernel_words(cochain, ctx)
+    return _alternate(words, ctx, args, cochain.n, differential=True)
 
 
 def _term_count(cochain, diff_args: int) -> int:

@@ -63,7 +63,7 @@ def test_criterion_03_leibniz_sum_factor():
     for n, l in [(1, 1), (2, 1), (2, 2)]:
         res = certify_leibniz_sum_identity(n, l)
         ok = ok and res["identity_holds"] and res["second_order_cancelled"]
-    report_line(3, "wrapped-sum factor n+l (symbolic)", ok)
+    report_line(3, "wrapped-sum factor n+2l (symbolic)", ok)
 
 
 def test_criterion_04_shortening_identity():

@@ -152,8 +152,10 @@ def test_unknown_check_rejected(capsys):
     ("verify", "lemma111", "--n", "6", "--l", "1"),
     # a check needs at least one trial
     ("verify", "thm21", "--n", "2", "--trials", "0"),
+    # the even sum vanishes only for commuting derivations
+    ("verify", "lemma11", "--n", "2", "--l", "1"),
 ], ids=["psido-window", "thm11-n0", "oracle-n0", "lemma111-n0",
-        "lemma111-over-budget", "no-trials"])
+        "lemma111-over-budget", "no-trials", "lemma11-noncommuting"])
 def test_bad_parameters_are_usage_errors(capsys, argv):
     code, out = run_cli(capsys, *argv)
     assert code == 2

@@ -4,7 +4,9 @@ the psido symbol arithmetic.
 The kernel is checked against the naive oracle on random valid descriptors
 (plain, derived and Q-fused slots, derivation slots named out of order,
 coefficients other than 1), for antisymmetry in its arguments, and for a
-lossless JSON round trip of the descriptor; ``trace_mul`` against the trace
+lossless JSON round trip of the descriptor; its one-pass differential
+against the per-pair sum kept below as the reference, on descriptors,
+inner expansions and psido windows; ``trace_mul`` against the trace
 of the full product on both backends, including where the psido window is
 too shallow; the integer-numerator psido operations against the
 per-contribution ``Fraction`` formulas kept below as the reference; and the
@@ -18,17 +20,21 @@ import math
 import random
 from fractions import Fraction
 
-from hypothesis import event, given, settings
+import pytest
+from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
 from tracelift.cochains import (
     CochainDescriptor,
     TermWord,
+    build_Psi_n1,
     descriptor_from_dict,
     descriptor_to_dict,
     evaluate,
+    expand_inner,
+    split_adjacency,
 )
-from tracelift.cohomology import sample_args
+from tracelift.cohomology import ce_differential, sample_args
 from tracelift.combinatorics import signed_permutations
 from tracelift.context import random_matrix_context
 from tracelift.freetrace import (
@@ -62,10 +68,11 @@ coefficients = st.builds(
 
 
 @st.composite
-def words(draw, n, arity):
+def words(draw, n, arity, q=True):
     """One word of the given arity whose d and q slots name 1..n once each,
-    in a drawn (not necessarily ascending) order."""
-    nq = draw(st.integers(max(0, n - arity), n // 2))
+    in a drawn (not necessarily ascending) order; without q slots if not
+    ``q`` (then arity >= n)."""
+    nq = draw(st.integers(max(0, n - arity), n // 2 if q else 0))
     kinds = ["q"] * nq + ["d"] * (n - 2 * nq)
     kinds = draw(st.permutations(kinds + ["p"] * (arity - len(kinds))))
     labels = iter(draw(st.permutations(range(1, n + 1))))
@@ -110,6 +117,98 @@ def test_swapping_two_arguments_negates_evaluate(desc, seed, data):
     event("nonzero" if value else "zero")
     args[i], args[j] = args[j], args[i]
     assert evaluate(desc, ctx, args) == -value
+
+
+def _ce_differential_ref(cochain, ctx, args):
+    """The per-pair differential: one evaluation per argument pair."""
+    total = 0
+    m = len(args)
+    for i, j in itertools.combinations(range(m), 2):
+        br = ctx.bracket(args[i], args[j])
+        rest = tuple(args[k] for k in range(m) if k not in (i, j))
+        total += (-1) ** (i + j) * cochain.evaluate(ctx, (br,) + rest)
+    return total
+
+
+@st.composite
+def expanded_cochains(draw):
+    """Inner expansions of Q-free descriptors, or one part of their
+    adjacency split."""
+    n = draw(st.sampled_from([2, 3]))
+    arity = draw(st.integers(n, 4))
+    ws = draw(st.lists(words(n, arity, q=False), min_size=1, max_size=2))
+    ec = expand_inner(CochainDescriptor(arity=arity, n=n, words=tuple(ws)))
+    part = draw(st.sampled_from([None, 0, 1]))
+    return ec if part is None else split_adjacency(ec)[part]
+
+
+# an inner expansion whose differential, and its adjacency part's, are
+# nonzero at seed 1
+_INNER = expand_inner(CochainDescriptor(3, 2, (
+    TermWord(Fraction(1), (("d", 1, 1), ("d", 2, 2), ("p", 3))),)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.one_of(descriptors(), expanded_cochains()), st.integers(0, 10**6))
+@example(_INNER, 1)
+@example(split_adjacency(_INNER)[1], 1)
+def test_ce_differential_matches_per_pair_reference(cochain, seed):
+    ctx = random_matrix_context(random.Random(seed), cochain.n, 3)
+    args = sample_args(ctx, cochain.arity + 1, random.Random(seed + 1))
+    value = ce_differential(cochain, ctx, args)
+    event(f"{type(cochain).__name__}: {'nonzero' if value else 'zero'}")
+    assert value == _ce_differential_ref(cochain, ctx, args)
+
+
+@settings(max_examples=40, deadline=None)
+@given(descriptors(), st.integers(0, 10**6), st.data())
+def test_swapping_two_arguments_negates_ce_differential(desc, seed, data):
+    ctx = random_matrix_context(random.Random(seed), desc.n, 3)
+    args = list(sample_args(ctx, desc.arity + 1, random.Random(seed + 1)))
+    i, j = data.draw(st.lists(st.integers(0, desc.arity), min_size=2,
+                              max_size=2, unique=True))
+    value = ce_differential(desc, ctx, args)
+    event("nonzero" if value else "zero")
+    args[i], args[j] = args[j], args[i]
+    assert ce_differential(desc, ctx, args) == -value
+
+
+@pytest.mark.parametrize("depth", [1, 2, 3, 12])
+def test_psido_ce_differential_matches_per_pair_reference(depth):
+    """Equal values, and a window fault on exactly the same inputs.  Psi_n1(2)
+    is a cocycle; the arity-1 Q word gives nonzero values on these seeds."""
+    ctx = make_psido_context(1, depth=depth)
+    qword = CochainDescriptor(1, 2, (TermWord(Fraction(-2, 3), (("q", 1, 2, 1),)),))
+    outcomes = []
+    for desc in (build_Psi_n1(2), qword):
+        for seed in range(4):
+            args = sample_args(ctx, desc.arity + 1, random.Random(seed))
+            fused = _residue_or_fault(lambda: ce_differential(desc, ctx, args))
+            assert fused == _residue_or_fault(lambda: _ce_differential_ref(desc, ctx, args))
+            outcomes.append(fused)
+    assert (InsufficientWindowError in outcomes) == (depth < 4)
+    assert any(v not in (0, InsufficientWindowError) for v in outcomes) == (depth > 1)
+
+
+def test_ce_differential_rejects_what_evaluate_rejects():
+    ctx = random_matrix_context(random.Random(0), 2, 3)
+    args = sample_args(ctx, 4, random.Random(1))
+    wrapped = CochainDescriptor(arity=3, n=2, words=(
+        TermWord(Fraction(1), (("p", 1), ("d", 2, 2), ("p", 3)), outer_dslot=1),))
+    with pytest.raises(ValueError, match="wrapped"):
+        ce_differential(wrapped, ctx, args)
+
+    class QlessContext:
+        def __init__(self, ctx):
+            self._ctx = ctx
+
+        def __getattr__(self, attr):
+            if attr == "has_q":
+                raise AttributeError(attr)
+            return getattr(self._ctx, attr)
+
+    with pytest.raises(ValueError, match="needs Q"):
+        ce_differential(build_Psi_n1(2), QlessContext(ctx), args[:4])
 
 
 @st.composite
