@@ -77,8 +77,8 @@ def _emit_report(report_dict: dict, fmt: str, out: str | None) -> None:
 def _make_context(args, parser):
     if args.backend == "matrix":
         rng = random.Random(f"{args.seed}:ctx")
-        return random_matrix_context(rng, args.n, args.N or max(3, args.n),
-                                     commuting=args.commuting)
+        N = max(3, args.n) if args.N is None else args.N
+        return random_matrix_context(rng, args.n, N, commuting=args.commuting)
     if args.backend == "psido":
         if args.n % 2:
             parser.error("psido backend pairs ln x_v with ln d_v; --n must be even")
@@ -185,7 +185,7 @@ def cmd_verify(args, parser):
         try:
             rep = bracket_series_check(cutoff=args.cutoff, depth=args.window,
                                        trials=args.trials, seed=args.seed)
-        except InsufficientWindowError as exc:
+        except (InsufficientWindowError, ValueError) as exc:
             parser.error(str(exc))
         _emit_report(rep.to_dict(), args.format, args.out)
         return 0 if rep.passed else 1

@@ -76,6 +76,12 @@ def _trial_rng(seed: int, offset: int) -> random.Random:
     return random.Random(f"{seed}:{offset}")
 
 
+def _require_trials(trials: int) -> None:
+    """A sampled check with no trials would pass vacuously."""
+    if trials < 1:
+        raise ValueError("trials >= 1 required")
+
+
 def sample_args(ctx, count: int, rng) -> tuple:
     return tuple(ctx.sample(rng) for _ in range(count))
 
@@ -102,8 +108,7 @@ def _term_count(cochain, diff_args: int) -> int:
 def verify_cocycle(cochain, ctx, trials: int, seed: int, check: str = "cocycle",
                    params: dict | None = None) -> VerificationReport:
     """Sample argument tuples and assert d(cochain) = 0 exactly per trial."""
-    if trials < 1:
-        raise ValueError("trials >= 1 required")
+    _require_trials(trials)
     t0 = time.perf_counter()
     report = VerificationReport(check=check, params=dict(params or {}))
     report.params.setdefault("trials", trials)
@@ -128,8 +133,7 @@ def check_axioms(ctx, trials: int, seed: int) -> VerificationReport:
     Leibniz, the Q commutation relation, the alternated Q-derivation
     identity, and antisymmetry of Q.  Failures are report entries.
     """
-    if trials < 1:
-        raise ValueError("trials >= 1 required")
+    _require_trials(trials)
     t0 = time.perf_counter()
     report = VerificationReport(
         check="axioms", params={"backend": getattr(ctx, "backend", "?"),
@@ -181,6 +185,7 @@ def check_axioms(ctx, trials: int, seed: int) -> VerificationReport:
 def verify_even_sum_vanishes(n: int, l: int, ctx, trials: int, seed: int,
                              require_commuting: bool = True) -> VerificationReport:
     """The even-sequence sum evaluates to zero when derivations commute."""
+    _require_trials(trials)
     t0 = time.perf_counter()
     params = {"n": n, "l": l, "trials": trials, "seed": seed,
               "backend": getattr(ctx, "backend", "?")}
@@ -212,6 +217,7 @@ def verify_shortening_sign(n: int, l: int, ctx, trials: int, seed: int) -> Verif
     is then an even relabelling), so on commuting matrix contexts the
     check degenerates to 0 = 0 and ``matched`` stays None.
     """
+    _require_trials(trials)
     t0 = time.perf_counter()
     report = VerificationReport(
         check="shortening_sign",
@@ -251,6 +257,7 @@ def verify_shortening_sign(n: int, l: int, ctx, trials: int, seed: int) -> Verif
 def verify_inner_tilde_cocycle(n: int, l: int, ctx, trials: int, seed: int) -> VerificationReport:
     """The adjacency-free part of the inner expansion is a cocycle, and the
     differential respects the adjacency split."""
+    _require_trials(trials)
     t0 = time.perf_counter()
     report = VerificationReport(
         check="inner_tilde_cocycle",
@@ -285,6 +292,7 @@ def verify_oracle_agreement(n: int, l: int, ctx, trials: int, seed: int) -> Veri
     """Optimized evaluator against the naive reference, exact agreement."""
     from .naive import naive_evaluate
 
+    _require_trials(trials)
     t0 = time.perf_counter()
     report = VerificationReport(
         check="oracle_agreement",

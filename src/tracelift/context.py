@@ -30,6 +30,8 @@ class MatrixContext:
         if not generators:
             raise ValueError("at least one generator required")
         N = len(generators[0])
+        if N < 1:
+            raise ValueError("matrices must be at least 1x1")
         for idx, g in enumerate(generators):
             if len(g) != N or any(len(row) != N for row in g):
                 raise ValueError(f"generator {idx} is not {N}x{N}")

@@ -15,7 +15,7 @@ import itertools
 import math
 from fractions import Fraction
 
-from .cochains import CochainDescriptor, build_S_even, build_S_tilde
+from .cochains import CochainDescriptor, build_differential, build_S_even, build_S_tilde
 from .combinatorics import enumerate_a_even, signed_permutations
 from .words import (
     arg,
@@ -122,41 +122,13 @@ def symbolic_expand(desc: CochainDescriptor) -> dict:
     return free_trace_combine(_expansion_terms(desc, den), den)
 
 
-def _differential_terms(desc: CochainDescriptor, den: int):
-    """(word, integer numerator over ``den``) of every term of the
-    differential; each slot's factor is a list of (letters, sign)."""
-    k = desc.arity
-    for u, v in itertools.combinations(range(1, k + 2), 2):
-        pair_sign = -1 if (u + v) % 2 else 1
-        elements = [[((arg(u), arg(v)), 1), ((arg(v), arg(u)), -1)]]
-        elements += [[((arg(w),), 1)] for w in range(1, k + 2) if w not in (u, v)]
-        for tau, stau in signed_permutations(desc.n):
-            for w in desc.words:
-                if w.outer_dslot is not None:
-                    raise ValueError("wrapped words have no differential here")
-                base = pair_sign * stau * w.coeff.numerator * (den // w.coeff.denominator)
-                for sigma, ssig in signed_permutations(desc.arity):
-                    prod = [((), base * ssig)]
-                    for slot in w.slots:
-                        elem = elements[sigma[slot[1] - 1]]
-                        if slot[0] == "d":
-                            d = tau[slot[2] - 1] + 1
-                            elem = [(hit, c) for ls, c in elem for hit in _leibniz(d, ls)]
-                        elif slot[0] != "p":
-                            raise ValueError("symbolic differential of Q-fused slots unsupported")
-                        prod = [(ls1 + ls2, c1 * c2) for ls1, c1 in prod for ls2, c2 in elem]
-                    yield from prod
-
-
 def symbolic_differential(desc: CochainDescriptor) -> dict:
-    """Chevalley-Eilenberg differential of a descriptor, expanded formally.
-
-    Arguments are the formal letters A_1..A_{arity+1}; the bracket
-    [A_u, A_v] is substituted as a two-word element and derivation slots
-    act on it by Leibniz (commuting encoding).
-    """
-    den = _denominator([desc])
-    return free_trace_combine(_differential_terms(desc, den), den)
+    """Chevalley-Eilenberg differential of a descriptor, expanded formally:
+    the expansion of ``build_differential(desc)`` over the formal letters
+    A_1..A_{arity+1}.  Q-fused slots are refused."""
+    if any(slot[0] == "q" for w in desc.words for slot in w.slots):
+        raise ValueError("symbolic differential of Q-fused slots unsupported")
+    return symbolic_expand(build_differential(desc))
 
 
 # ---------------------------------------------------------------------------

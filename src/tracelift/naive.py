@@ -50,16 +50,3 @@ def naive_evaluate(desc, ctx, args):
                 )
     return total
 
-
-def naive_differential(desc, ctx, args):
-    """Chevalley-Eilenberg differential on top of the naive evaluator."""
-    if len(args) != desc.arity + 1:
-        raise ValueError("arity mismatch")
-    total = 0
-    for i in range(len(args)):
-        for j in range(i + 1, len(args)):
-            br = ctx.bracket(args[i], args[j])
-            rest = tuple(args[k] for k in range(len(args)) if k not in (i, j))
-            sign = 1 if (i + j) % 2 == 0 else -1
-            total += sign * naive_evaluate(desc, ctx, (br,) + rest)
-    return total

@@ -432,10 +432,11 @@ def bracket_series_check(cutoff: int, depth: int | None = None, trials: int = 5,
     Returns a VerificationReport; the series coefficients up to the cutoff
     are recorded in the report parameters.
     """
-    from .cohomology import VerificationReport, _residual_entry, _trial_rng
+    from .cohomology import VerificationReport, _residual_entry, _trial_rng, _require_trials
 
     if cutoff < 1:
         raise ValueError("cutoff >= 1 required")
+    _require_trials(trials)
     if depth is None:
         depth = cutoff + 8
     t0 = time.perf_counter()

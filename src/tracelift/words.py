@@ -7,19 +7,18 @@ Atoms (the letters of a word) are plain tuples tagged by kind:
     ('s', d, e, i)  the second-order letter D_d D_e A_i, pair {d, e} unordered
                     (encodes commuting derivations)
     ('q', d, e)     the letter Q_{d,e}, canonicalized to d < e
-    ('g', d)        the standalone generator letter D_d (inner expansion)
 
 The trace property Tr(ab) = Tr(ba) is encoded structurally: a word inside
 a trace is identified with all its rotations, and ``canonicalize_cyclic``
 picks the lexicographically minimal rotation under a fixed total order on
-atoms (kind rank 'a' < 'f' < 's' < 'q' < 'g', then indices).
+atoms (kind rank 'a' < 'f' < 's' < 'q', then indices).
 """
 
 from __future__ import annotations
 
 import functools
 
-_KIND_RANK = {"a": 0, "f": 1, "s": 2, "q": 3, "g": 4}
+_KIND_RANK = {"a": 0, "f": 1, "s": 2, "q": 3}
 
 
 def arg(i: int):
@@ -43,10 +42,6 @@ def qatom(d: int, e: int):
     if d < e:
         return ("q", d, e), 1
     return ("q", e, d), -1
-
-
-def gen(d: int):
-    return ("g", d)
 
 
 @functools.cache

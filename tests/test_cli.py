@@ -154,8 +154,20 @@ def test_unknown_check_rejected(capsys):
     ("verify", "thm21", "--n", "2", "--trials", "0"),
     # the even sum vanishes only for commuting derivations
     ("verify", "lemma11", "--n", "2", "--l", "1"),
+    # the bracket series takes the same trial and cutoff bounds
+    ("verify", "bracket-series", "--trials", "0"),
+    ("verify", "bracket-series", "--trials", "-3"),
+    ("verify", "bracket-series", "--cutoff", "0"),
+    # matrices must be at least 1x1
+    ("verify", "thm21", "--n", "2", "--N", "-2"),
+    ("verify", "axioms", "--N", "-1"),
+    ("verify", "axioms", "--N", "0"),
+    ("oracle", "--N", "-1"),
 ], ids=["psido-window", "thm11-n0", "oracle-n0", "lemma111-n0",
-        "lemma111-over-budget", "no-trials", "lemma11-noncommuting"])
+        "lemma111-over-budget", "no-trials", "lemma11-noncommuting",
+        "bracket-series-no-trials", "bracket-series-negative-trials",
+        "bracket-series-cutoff0", "thm21-N-negative", "axioms-N-negative",
+        "axioms-N0", "oracle-N-negative"])
 def test_bad_parameters_are_usage_errors(capsys, argv):
     code, out = run_cli(capsys, *argv)
     assert code == 2

@@ -14,6 +14,7 @@ from tracelift.cohomology import (
     verify_shortening_sign,
 )
 from tracelift.context import random_matrix_context
+from tracelift.psido import bracket_series_check
 
 
 def ctx_for(n, seed=3, commuting=False, N=3):
@@ -125,3 +126,19 @@ def test_reports_are_deterministic():
     a = verify_cocycle(build_Psi0(2, 1), ctx_for(2, commuting=True), 3, 5).to_dict()
     b = verify_cocycle(build_Psi0(2, 1), ctx_for(2, commuting=True), 3, 5).to_dict()
     assert a == b
+
+
+@pytest.mark.parametrize("run", [
+    lambda ctx: verify_cocycle(build_Psi_n1(2), ctx, trials=0, seed=0),
+    lambda ctx: check_axioms(ctx, trials=0, seed=0),
+    lambda ctx: verify_even_sum_vanishes(2, 1, ctx, trials=0, seed=0),
+    lambda ctx: verify_shortening_sign(2, 1, ctx, trials=0, seed=0),
+    lambda ctx: verify_inner_tilde_cocycle(2, 1, ctx, trials=0, seed=0),
+    lambda ctx: verify_oracle_agreement(2, 1, ctx, trials=0, seed=0),
+    lambda ctx: bracket_series_check(cutoff=2, trials=0),
+], ids=["cocycle", "axioms", "even-sum", "shortening", "inner-tilde", "oracle",
+        "bracket-series"])
+def test_checks_refuse_zero_trials(run):
+    """With no trials every check would report a vacuous pass."""
+    with pytest.raises(ValueError, match="trials >= 1 required"):
+        run(ctx_for(2, commuting=True))

@@ -2,7 +2,15 @@ from fractions import Fraction
 
 import pytest
 
-from tracelift.cochains import build_Psi0, build_S, build_S_tilde
+from tracelift.cochains import (
+    CochainDescriptor,
+    TermWord,
+    build_differential,
+    build_Psi0,
+    build_Psi_n1,
+    build_S,
+    build_S_tilde,
+)
 from tracelift.combinatorics import enumerate_a_even
 from tracelift.freetrace import (
     LEIBNIZ_TERM_BUDGET,
@@ -53,6 +61,29 @@ def test_differential_of_psi0_1_1_is_in_relation_span():
     basis = relation_basis(3, 1, 0) + relation_basis(3, 1, 1)
     ok, _ = certify_in_relation_span(expr, basis)
     assert ok
+
+
+def test_symbolic_differential_refuses_wrapped_and_q_fused_words():
+    wrapped = build_S_tilde(enumerate_a_even(2, 1)[0])
+    with pytest.raises(ValueError, match="wrapped"):
+        symbolic_differential(wrapped)
+    with pytest.raises(ValueError, match="wrapped"):
+        build_differential(wrapped)
+    with pytest.raises(ValueError, match="Q-fused"):
+        symbolic_differential(build_Psi_n1(2))
+
+
+def test_build_differential_splits_each_slot():
+    """A plain slot takes the product of two arguments, a derived one splits
+    by Leibniz and a Q stays on the right; the sign is (-1)^i."""
+    word = TermWord(Fraction(1, 3), (("d", 1, 1), ("q", 2, 2, 3), ("p", 3)))
+    got = build_differential(CochainDescriptor(3, 3, (word,))).words
+    assert [(w.coeff, w.slots) for w in got] == [
+        (Fraction(-1, 3), (("d", 1, 1), ("p", 2), ("q", 3, 2, 3), ("p", 4))),
+        (Fraction(-1, 3), (("p", 1), ("d", 2, 1), ("q", 3, 2, 3), ("p", 4))),
+        (Fraction(1, 3), (("d", 1, 1), ("p", 2), ("q", 3, 2, 3), ("p", 4))),
+        (Fraction(-1, 3), (("d", 1, 1), ("q", 2, 2, 3), ("p", 3), ("p", 4))),
+    ]
 
 
 def test_solve_rational_finds_exact_solution():

@@ -28,6 +28,7 @@ from tracelift.cochains import (
     CochainDescriptor,
     TermWord,
     build_Psi_n1,
+    build_differential,
     descriptor_from_dict,
     descriptor_to_dict,
     evaluate,
@@ -158,6 +159,8 @@ def test_ce_differential_matches_per_pair_reference(cochain, seed):
     value = ce_differential(cochain, ctx, args)
     event(f"{type(cochain).__name__}: {'nonzero' if value else 'zero'}")
     assert value == _ce_differential_ref(cochain, ctx, args)
+    if isinstance(cochain, CochainDescriptor):
+        assert evaluate(build_differential(cochain), ctx, args) == value
 
 
 @settings(max_examples=40, deadline=None)

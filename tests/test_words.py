@@ -10,7 +10,6 @@ from tracelift.words import (
     canonicalize_cyclic,
     combine_maps,
     first_order,
-    gen,
     qatom,
     second_order,
 )
@@ -65,7 +64,6 @@ atoms = st.one_of(
     st.builds(first_order, indices, indices),
     st.builds(second_order, indices, indices, indices),
     st.tuples(indices, indices).filter(lambda de: de[0] != de[1]).map(lambda de: qatom(*de)[0]),
-    st.builds(gen, indices),
 )
 mixed_words = st.one_of(
     st.lists(atoms, max_size=10).map(tuple),
