@@ -32,17 +32,8 @@ from .context import random_matrix_context
 from .freetrace import certify_leibniz_sum_identity
 from .psido import InsufficientWindowError, bracket_series_check, make_psido_context
 
-CHECKS = (
-    "axioms",
-    "lemma11",
-    "lemma12",
-    "thm11",
-    "thm21",
-    "thm23",
-    "key-lemma",
-    "lemma111",
-    "bracket-series",
-)
+# psido window depth when --window is absent
+WINDOW = 12
 
 
 def _write_out(text: str, out: str | None) -> None:
@@ -74,21 +65,27 @@ def _emit_report(report_dict: dict, fmt: str, out: str | None) -> None:
     _write_out("\n".join(lines) + "\n", out)
 
 
-def _make_context(args, parser):
+def _window(args) -> int:
+    return WINDOW if args.window is None else args.window
+
+
+def _make_context(args):
+    """The sampling context of ``--backend``; an option the backend does
+    not read is an error, not silently dropped."""
     if args.backend == "matrix":
+        if args.window is not None:
+            raise ValueError("--window applies to the psido backend only")
         rng = random.Random(f"{args.seed}:ctx")
         N = max(3, args.n) if args.N is None else args.N
         return random_matrix_context(rng, args.n, N, commuting=args.commuting)
-    if args.backend == "psido":
-        if args.n % 2:
-            parser.error("psido backend pairs ln x_v with ln d_v; --n must be even")
-        return make_psido_context(args.n // 2, depth=args.window)
-    parser.error(f"backend {args.backend!r} has no sampling context")
+    if args.N is not None or args.commuting:
+        raise ValueError("--N and --commuting apply to the matrix backend only")
+    if args.n % 2:
+        raise ValueError("psido backend pairs ln x_v with ln d_v; --n must be even")
+    return make_psido_context(args.n // 2, depth=_window(args))
 
 
-def cmd_sequences(args, parser):
-    if args.n < 1 or args.l < 1:
-        parser.error("sequences requires --n >= 1 and --l >= 1")
+def cmd_sequences(args):
     rows = []
     for a in enumerate_a_even(args.n, args.l):
         red = reduce_sequence(a)
@@ -105,97 +102,69 @@ def cmd_sequences(args, parser):
     return 0
 
 
-def cmd_build(args, parser):
+def cmd_build(args):
     builders = {
         "psi0": lambda: build_Psi0(args.n, args.l),
         "psi-n1": lambda: build_Psi_n1(args.n),
         "psi-nl": lambda: build_Psi_nl(args.n, args.l),
         "s-even": lambda: build_S_even(args.n, args.l),
     }
-    try:
-        desc = builders[args.target]()
-    except ValueError as exc:
-        parser.error(str(exc))
+    desc = builders[args.target]()
     payload = json.dumps(descriptor_to_dict(desc), indent=2, sort_keys=False) + "\n"
     _write_out(payload, args.out)
     return 0
 
 
+def _on_context(run):
+    """A runner that samples on the ``--backend`` context."""
+    return lambda a: run(_make_context(a), a).to_dict()
+
+
 def _sampled(verify):
-    return lambda desc, ctx, a: verify(a.n, a.l, ctx, trials=a.trials, seed=a.seed)
+    return _on_context(lambda ctx, a: verify(a.n, a.l, ctx, trials=a.trials, seed=a.seed))
 
 
-def _cocycle(check, *params):
-    return lambda desc, ctx, a: verify_cocycle(
-        desc, ctx, a.trials, a.seed, check=check,
-        params={p: getattr(a, p) for p in params})
+def _cocycle(check, build, *params):
+    return _on_context(lambda ctx, a: verify_cocycle(
+        build(a), ctx, a.trials, a.seed, check=check,
+        params={p: getattr(a, p) for p in params}))
 
 
-# check -> (builder of the descriptor it evaluates, runner).  The descriptor
-# is built before the check runs, so parameters the check cannot take are
-# usage errors.
-SAMPLED_CHECKS = {
-    "axioms": (lambda n, l: None,
-               lambda desc, ctx, a: check_axioms(ctx, trials=a.trials, seed=a.seed)),
-    "lemma11": (build_S_even, _sampled(verify_even_sum_vanishes)),
-    "lemma12": (build_S_even, _sampled(verify_shortening_sign)),
-    "thm11": (build_Psi0, _cocycle("psi0_cocycle", "n", "l")),
-    "thm21": (lambda n, l: build_Psi_n1(n), _cocycle("psi_n1_cocycle", "n")),
-    "thm23": (build_Psi_nl, _cocycle("psi_nl_cocycle", "n", "l")),
-    "key-lemma": (build_Psi0, _sampled(verify_inner_tilde_cocycle)),
-    "oracle": (build_Psi0, _sampled(verify_oracle_agreement)),
+def _leibniz(a):
+    res = certify_leibniz_sum_identity(a.n, a.l)
+    return {"check": "leibniz_sum_identity", "params": res, "trials": [],
+            "pass": res["identity_holds"] and res["second_order_cancelled"]}
+
+
+def _oracle(a):
+    if a.n + 2 * a.l > 8:
+        raise ValueError("oracle comparison limited to n + 2l <= 8")
+    return _sampled(verify_oracle_agreement)(a)
+
+
+# check -> runner(args) returning the report dict.
+RUNNERS = {
+    "axioms": _on_context(lambda ctx, a: check_axioms(ctx, trials=a.trials, seed=a.seed)),
+    "lemma11": _sampled(verify_even_sum_vanishes),
+    "lemma12": _sampled(verify_shortening_sign),
+    "thm11": _cocycle("psi0_cocycle", lambda a: build_Psi0(a.n, a.l), "n", "l"),
+    "thm21": _cocycle("psi_n1_cocycle", lambda a: build_Psi_n1(a.n), "n"),
+    "thm23": _cocycle("psi_nl_cocycle", lambda a: build_Psi_nl(a.n, a.l), "n", "l"),
+    "key-lemma": _sampled(verify_inner_tilde_cocycle),
+    "lemma111": _leibniz,
+    "bracket-series": lambda a: bracket_series_check(
+        cutoff=a.cutoff, depth=_window(a), trials=a.trials, seed=a.seed).to_dict(),
+    "oracle": _oracle,
 }
 
 
-def _run_check(check, args, parser) -> int:
-    """Run a sampled check and emit its report.  Bad parameters, a window
-    too shallow for an exact coefficient and a context the check does not
-    apply to are usage errors, not failures."""
-    if args.trials < 1:
-        parser.error("--trials must be >= 1")
-    build, run = SAMPLED_CHECKS[check]
-    try:
-        ctx = _make_context(args, parser)
-        desc = build(args.n, args.l)
-    except ValueError as exc:
-        parser.error(str(exc))
-    try:
-        rep = run(desc, ctx, args)
-    except InsufficientWindowError as exc:
-        parser.error(str(exc))
-    if "inapplicable" in rep.params:
-        parser.error(f"{check} is inapplicable: {rep.params['inapplicable']}; "
-                     "pass --commuting")
-    _emit_report(rep.to_dict(), args.format, args.out)
-    return 0 if rep.passed else 1
-
-
-def cmd_verify(args, parser):
-    check = args.check
-    if check == "lemma111":
-        try:
-            res = certify_leibniz_sum_identity(args.n, args.l)
-        except ValueError as exc:
-            parser.error(str(exc))
-        ok = res["identity_holds"] and res["second_order_cancelled"]
-        _emit_report({"check": "leibniz_sum_identity", "params": res,
-                      "trials": [], "pass": ok}, args.format, args.out)
-        return 0 if ok else 1
-    if check == "bracket-series":
-        try:
-            rep = bracket_series_check(cutoff=args.cutoff, depth=args.window,
-                                       trials=args.trials, seed=args.seed)
-        except (InsufficientWindowError, ValueError) as exc:
-            parser.error(str(exc))
-        _emit_report(rep.to_dict(), args.format, args.out)
-        return 0 if rep.passed else 1
-    return _run_check(check, args, parser)
-
-
-def cmd_oracle(args, parser):
-    if args.n + 2 * args.l > 8:
-        parser.error("oracle comparison limited to n + 2l <= 8")
-    return _run_check("oracle", args, parser)
+def cmd_verify(args):
+    report = RUNNERS[args.check](args)
+    if "inapplicable" in report["params"]:
+        raise ValueError(f"{args.check} is inapplicable: "
+                         f"{report['params']['inapplicable']}; pass --commuting")
+    _emit_report(report, args.format, args.out)
+    return 0 if report["pass"] else 1
 
 
 def _add_common(p):
@@ -203,6 +172,15 @@ def _add_common(p):
     p.add_argument("--l", type=int, default=1)
     p.add_argument("--out", default=None)
     p.add_argument("--format", choices=("json", "pretty"), default="json")
+
+
+def _add_sampling(p):
+    p.add_argument("--backend", choices=("matrix", "psido"), default="matrix")
+    p.add_argument("--N", type=int, default=None)
+    p.add_argument("--window", type=int, default=None)
+    p.add_argument("--trials", type=int, default=10)
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--commuting", action="store_true")
 
 
 def make_parser() -> argparse.ArgumentParser:
@@ -220,24 +198,15 @@ def make_parser() -> argparse.ArgumentParser:
     _add_common(p_build)
 
     p_ver = sub.add_parser("verify", help="run a named verification")
-    p_ver.add_argument("check", choices=CHECKS)
+    p_ver.add_argument("check", choices=[c for c in RUNNERS if c != "oracle"])
     _add_common(p_ver)
-    p_ver.add_argument("--backend", choices=("matrix", "psido"), default="matrix")
-    p_ver.add_argument("--N", type=int, default=None)
-    p_ver.add_argument("--window", type=int, default=12)
-    p_ver.add_argument("--trials", type=int, default=10)
-    p_ver.add_argument("--seed", type=int, default=0)
+    _add_sampling(p_ver)
     p_ver.add_argument("--cutoff", type=int, default=4)
-    p_ver.add_argument("--commuting", action="store_true")
 
     p_or = sub.add_parser("oracle", help="optimized vs naive evaluator")
     _add_common(p_or)
-    p_or.add_argument("--backend", choices=("matrix", "psido"), default="matrix")
-    p_or.add_argument("--N", type=int, default=None)
-    p_or.add_argument("--window", type=int, default=12)
-    p_or.add_argument("--trials", type=int, default=10)
-    p_or.add_argument("--seed", type=int, default=0)
-    p_or.add_argument("--commuting", action="store_true")
+    _add_sampling(p_or)
+    p_or.set_defaults(check="oracle")
     return parser
 
 
@@ -248,9 +217,14 @@ def main(argv=None) -> int:
         "sequences": cmd_sequences,
         "build": cmd_build,
         "verify": cmd_verify,
-        "oracle": cmd_oracle,
+        "oracle": cmd_verify,
     }
-    return handlers[args.subcommand](args, parser)
+    # bad parameters, a window too shallow for an exact coefficient and a
+    # context a check does not apply to are usage errors, not failures
+    try:
+        return handlers[args.subcommand](args)
+    except (ValueError, InsufficientWindowError) as exc:
+        parser.error(str(exc))
 
 
 if __name__ == "__main__":

@@ -543,8 +543,6 @@ def kernel_words(cochain, ctx) -> list:
         words = [(w.coeff, w.slots) for w in cochain.words]
     for _, slots in words:
         _check_ascending_args(slots, cochain.arity)
-        if any(s[0] == "q" for s in slots) and not getattr(ctx, "has_q", False):
-            raise ValueError("descriptor needs Q but context has none")
     return words
 
 

@@ -11,7 +11,8 @@ pair (i, j): ``ce_differential`` runs the alternation kernel once over all
 k + 1 arguments, with an argument slot allowed to take the bracket of two
 unused arguments once per path, and the sign (-1)^(i+j) folded into that
 step's parity (see ``cochains``).  All checks are exact: a trial passes iff
-its residual is literally zero.
+its residual is literally zero.  Every sampled check is a generator of
+trial entries that ``run_trials`` seeds, times and judges.
 """
 
 from __future__ import annotations
@@ -24,7 +25,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .cochains import (
-    CochainDescriptor,
     _alternate,
     build_Psi0,
     build_S,
@@ -36,6 +36,7 @@ from .cochains import (
     split_adjacency,
 )
 from .combinatorics import enumerate_a_even, reduce_sequence, signed_permutations
+from .naive import naive_evaluate
 
 
 @dataclass
@@ -46,10 +47,6 @@ class VerificationReport:
     terms_evaluated: int = 0
     ms: int = 0
     passed: bool = False
-
-    def finalize(self):
-        self.passed = all(t.get("zero", False) for t in self.trials)
-        return self
 
     def to_dict(self, include_timing: bool = False) -> dict:
         out = {
@@ -64,7 +61,7 @@ class VerificationReport:
         return out
 
 
-def _residual_entry(offset: int, value) -> dict:
+def residual_entry(offset: int, value) -> dict:
     entry = {"seed_offset": offset, "zero": value == 0}
     if value != 0:
         f = Fraction(value)
@@ -72,14 +69,30 @@ def _residual_entry(offset: int, value) -> dict:
     return entry
 
 
-def _trial_rng(seed: int, offset: int) -> random.Random:
-    return random.Random(f"{seed}:{offset}")
+def run_trials(check: str, params: dict, trials: int, seed: int, entries) -> VerificationReport:
+    """The seeded-trial policy of every sampled check.
 
-
-def _require_trials(trials: int) -> None:
-    """A sampled check with no trials would pass vacuously."""
+    ``entries(rngs)`` yields (trial entry, terms evaluated); each call of
+    ``rngs()`` iterates (seed offset, Random seeded "seed:offset") over the
+    trials, so a check may pass over them once per sequence.  ``params``
+    becomes the report's, and a check may add to it.  The report passes iff
+    it has an entry and every entry is zero; zero trials would pass
+    vacuously, so they are refused.
+    """
     if trials < 1:
         raise ValueError("trials >= 1 required")
+    t0 = time.perf_counter()
+    report = VerificationReport(check=check, params=params)
+
+    def rngs():
+        return ((t, random.Random(f"{seed}:{t}")) for t in range(trials))
+
+    for entry, terms in entries(rngs):
+        report.trials.append(entry)
+        report.terms_evaluated += terms
+    report.ms = int((time.perf_counter() - t0) * 1000)
+    report.passed = bool(report.trials) and all(t["zero"] for t in report.trials)
+    return report
 
 
 def sample_args(ctx, count: int, rng) -> tuple:
@@ -95,31 +108,25 @@ def ce_differential(cochain, ctx, args):
     return _alternate(words, ctx, args, cochain.n, differential=True)
 
 
-def _term_count(cochain, diff_args: int) -> int:
-    pairs = diff_args * (diff_args - 1) // 2
-    return (
-        pairs
-        * len(cochain.words)
-        * math.factorial(cochain.arity)
-        * math.factorial(cochain.n)
-    )
+def _term_count(cochain, diff_args: int | None = None) -> int:
+    """words x arity! x n!, times the C(diff_args, 2) argument pairs of a
+    differential."""
+    terms = len(cochain.words) * math.factorial(cochain.arity) * math.factorial(cochain.n)
+    return terms * math.comb(diff_args, 2) if diff_args else terms
 
 
 def verify_cocycle(cochain, ctx, trials: int, seed: int, check: str = "cocycle",
                    params: dict | None = None) -> VerificationReport:
     """Sample argument tuples and assert d(cochain) = 0 exactly per trial."""
-    _require_trials(trials)
-    t0 = time.perf_counter()
-    report = VerificationReport(check=check, params=dict(params or {}))
-    report.params.setdefault("trials", trials)
-    report.params.setdefault("seed", seed)
-    for t in range(trials):
-        rng = _trial_rng(seed, t)
-        args = sample_args(ctx, cochain.arity + 1, rng)
-        report.trials.append(_residual_entry(t, ce_differential(cochain, ctx, args)))
-        report.terms_evaluated += _term_count(cochain, cochain.arity + 1)
-    report.ms = int((time.perf_counter() - t0) * 1000)
-    return report.finalize()
+    params = {**(params or {}), "trials": trials, "seed": seed}
+    k = cochain.arity + 1
+
+    def entries(rngs):
+        for t, rng in rngs():
+            value = ce_differential(cochain, ctx, sample_args(ctx, k, rng))
+            yield residual_entry(t, value), _term_count(cochain, k)
+
+    return run_trials(check, params, trials, seed, entries)
 
 
 # ---------------------------------------------------------------------------
@@ -133,28 +140,22 @@ def check_axioms(ctx, trials: int, seed: int) -> VerificationReport:
     Leibniz, the Q commutation relation, the alternated Q-derivation
     identity, and antisymmetry of Q.  Failures are report entries.
     """
-    _require_trials(trials)
-    t0 = time.perf_counter()
-    report = VerificationReport(
-        check="axioms", params={"backend": getattr(ctx, "backend", "?"),
-                                "n": ctx.n, "trials": trials, "seed": seed}
-    )
     nd = ctx.n
-    for t in range(trials):
-        rng = _trial_rng(seed, t)
-        a = ctx.sample(rng)
-        b = ctx.sample(rng)
-        failed = []
-        if ctx.trace(ctx.bracket(a, b)) != 0:
-            failed.append("trace_bracket")
-        for i in range(nd):
-            if ctx.trace(ctx.deriv(i, a)) != 0:
-                failed.append(f"trace_deriv_{i + 1}")
-            lhs = ctx.deriv(i, ctx.mul(a, b))
-            rhs = ctx.add(ctx.mul(ctx.deriv(i, a), b), ctx.mul(a, ctx.deriv(i, b)))
-            if not ctx.elem_is_zero(ctx.sub(lhs, rhs)):
-                failed.append(f"leibniz_{i + 1}")
-        if getattr(ctx, "has_q", False):
+
+    def entries(rngs):
+        for t, rng in rngs():
+            a = ctx.sample(rng)
+            b = ctx.sample(rng)
+            failed = []
+            if ctx.trace(ctx.bracket(a, b)) != 0:
+                failed.append("trace_bracket")
+            for i in range(nd):
+                if ctx.trace(ctx.deriv(i, a)) != 0:
+                    failed.append(f"trace_deriv_{i + 1}")
+                lhs = ctx.deriv(i, ctx.mul(a, b))
+                rhs = ctx.add(ctx.mul(ctx.deriv(i, a), b), ctx.mul(a, ctx.deriv(i, b)))
+                if not ctx.elem_is_zero(ctx.sub(lhs, rhs)):
+                    failed.append(f"leibniz_{i + 1}")
             for i in range(nd):
                 for j in range(nd):
                     comm = ctx.sub(ctx.deriv(i, ctx.deriv(j, a)),
@@ -171,11 +172,11 @@ def check_axioms(ctx, trials: int, seed: int) -> VerificationReport:
                     alt = term if alt is None else ctx.add(alt, term)
                 if alt is not None and not ctx.elem_is_zero(alt):
                     failed.append(f"alt_dq_{triple}")
-        report.trials.append(
-            {"seed_offset": t, "zero": not failed, "failed": failed}
-        )
-    report.ms = int((time.perf_counter() - t0) * 1000)
-    return report.finalize()
+            yield {"seed_offset": t, "zero": not failed, "failed": failed}, 0
+
+    params = {"backend": getattr(ctx, "backend", "?"), "n": nd,
+              "trials": trials, "seed": seed}
+    return run_trials("axioms", params, trials, seed, entries)
 
 
 # ---------------------------------------------------------------------------
@@ -184,27 +185,24 @@ def check_axioms(ctx, trials: int, seed: int) -> VerificationReport:
 
 def verify_even_sum_vanishes(n: int, l: int, ctx, trials: int, seed: int,
                              require_commuting: bool = True) -> VerificationReport:
-    """The even-sequence sum evaluates to zero when derivations commute."""
-    _require_trials(trials)
-    t0 = time.perf_counter()
+    """The even-sequence sum evaluates to zero when derivations commute.
+
+    On a context whose derivations do not commute the check is
+    inapplicable: no trial runs, and the report says why and fails.
+    """
     params = {"n": n, "l": l, "trials": trials, "seed": seed,
               "backend": getattr(ctx, "backend", "?")}
-    report = VerificationReport(check="even_sum_vanishes", params=params)
-    if require_commuting and hasattr(ctx, "is_commuting") and not ctx.is_commuting():
-        report.params["inapplicable"] = "derivations do not commute"
-        report.ms = int((time.perf_counter() - t0) * 1000)
-        report.passed = False
-        return report
-    desc = build_S_even(n, l)
-    for t in range(trials):
-        rng = _trial_rng(seed, t)
-        args = sample_args(ctx, desc.arity, rng)
-        report.trials.append(_residual_entry(t, evaluate(desc, ctx, args)))
-        report.terms_evaluated += (
-            len(desc.words) * math.factorial(desc.arity) * math.factorial(n)
-        )
-    report.ms = int((time.perf_counter() - t0) * 1000)
-    return report.finalize()
+
+    def entries(rngs):
+        if require_commuting and hasattr(ctx, "is_commuting") and not ctx.is_commuting():
+            params["inapplicable"] = "derivations do not commute"
+            return
+        desc = build_S_even(n, l)
+        for t, rng in rngs():
+            args = sample_args(ctx, desc.arity, rng)
+            yield residual_entry(t, evaluate(desc, ctx, args)), _term_count(desc)
+
+    return run_trials("even_sum_vanishes", params, trials, seed, entries)
 
 
 def verify_shortening_sign(n: int, l: int, ctx, trials: int, seed: int) -> VerificationReport:
@@ -217,100 +215,76 @@ def verify_shortening_sign(n: int, l: int, ctx, trials: int, seed: int) -> Verif
     is then an even relabelling), so on commuting matrix contexts the
     check degenerates to 0 = 0 and ``matched`` stays None.
     """
-    _require_trials(trials)
-    t0 = time.perf_counter()
-    report = VerificationReport(
-        check="shortening_sign",
-        params={"n": n, "l": l, "trials": trials, "seed": seed},
-    )
+    params = {"n": n, "l": l, "trials": trials, "seed": seed}
     length = n + 2 * l
-    for a in enumerate_a_even(n, l):
-        r_desc = build_R(a)
-        s_desc = build_S(a)
-        s1 = reduce_sequence(a).s1
-        predicted = -1 if (length - s1) % 2 else 1
-        matched = None
-        for t in range(trials):
-            rng = _trial_rng(seed, t)
-            args = sample_args(ctx, length, rng)
-            rotated = (args[-1],) + args[:-1]
-            x = ce_differential(r_desc, ctx, rotated)
-            y = evaluate(s_desc, ctx, args)
-            if y != 0 and matched is None:
-                matched = 1 if x == y else (-1 if x == -y else None)
-            ok = (x == y == 0) or (matched is not None and x == matched * y)
-            residual = x - matched * y if matched else x
-            entry = _residual_entry(t, 0 if ok else residual)
-            entry["sequence"] = "".join(map(str, a.bits))
-            report.trials.append(entry)
-            report.terms_evaluated += _term_count(r_desc, length) + (
-                math.factorial(length) * math.factorial(n)
-            )
-        report.params.setdefault("signs", {})["".join(map(str, a.bits))] = {
-            "matched": matched,
-            "expected": predicted,
-        }
-    report.ms = int((time.perf_counter() - t0) * 1000)
-    return report.finalize()
+
+    def entries(rngs):
+        for a in enumerate_a_even(n, l):
+            bits = "".join(map(str, a.bits))
+            r_desc = build_R(a)
+            s_desc = build_S(a)
+            terms = _term_count(r_desc, length) + _term_count(s_desc)
+            matched = None
+            for t, rng in rngs():
+                args = sample_args(ctx, length, rng)
+                rotated = (args[-1],) + args[:-1]
+                x = ce_differential(r_desc, ctx, rotated)
+                y = evaluate(s_desc, ctx, args)
+                if y != 0 and matched is None:
+                    matched = 1 if x == y else (-1 if x == -y else None)
+                # until a sign is matched the residual is x - y: zero when
+                # both vanish, nonzero when S_a != 0 matched neither sign
+                entry = residual_entry(t, x - (matched or 1) * y)
+                entry["sequence"] = bits
+                yield entry, terms
+            predicted = -1 if (length - reduce_sequence(a).s1) % 2 else 1
+            params.setdefault("signs", {})[bits] = {
+                "matched": matched,
+                "expected": predicted,
+            }
+
+    return run_trials("shortening_sign", params, trials, seed, entries)
 
 
 def verify_inner_tilde_cocycle(n: int, l: int, ctx, trials: int, seed: int) -> VerificationReport:
     """The adjacency-free part of the inner expansion is a cocycle, and the
     differential respects the adjacency split."""
-    _require_trials(trials)
-    t0 = time.perf_counter()
-    report = VerificationReport(
-        check="inner_tilde_cocycle",
-        params={"n": n, "l": l, "trials": trials, "seed": seed},
-    )
     psi0 = build_Psi0(n, l)
     inner = expand_inner(psi0)
     tilde, rem = split_adjacency(inner)
-    report.params["expanded_words"] = len(inner.words)
-    report.params["tilde_words"] = len(tilde.words)
-    for t in range(trials):
-        rng = _trial_rng(seed, t)
-        args = sample_args(ctx, psi0.arity + 1, rng)
-        d_tilde = ce_differential(tilde, ctx, args)
-        d_rem = ce_differential(rem, ctx, args)
-        d_full = ce_differential(inner, ctx, args)
-        d_desc = ce_differential(psi0, ctx, args)
-        residual = 0
-        if d_tilde != 0:
-            residual = d_tilde
-        elif d_tilde + d_rem != d_full:
-            residual = d_tilde + d_rem - d_full
-        elif d_full != d_desc:
-            residual = d_full - d_desc
-        report.trials.append(_residual_entry(t, residual))
-        report.terms_evaluated += _term_count(inner, psi0.arity + 1)
-    report.ms = int((time.perf_counter() - t0) * 1000)
-    return report.finalize()
+    k = psi0.arity + 1
+    params = {"n": n, "l": l, "trials": trials, "seed": seed,
+              "expanded_words": len(inner.words), "tilde_words": len(tilde.words)}
+
+    def entries(rngs):
+        for t, rng in rngs():
+            args = sample_args(ctx, k, rng)
+            d_tilde = ce_differential(tilde, ctx, args)
+            d_rem = ce_differential(rem, ctx, args)
+            d_full = ce_differential(inner, ctx, args)
+            d_desc = ce_differential(psi0, ctx, args)
+            # the first of the three identities that fails, else 0
+            residual = d_tilde or (d_tilde + d_rem - d_full) or (d_full - d_desc)
+            yield residual_entry(t, residual), _term_count(inner, k)
+
+    return run_trials("inner_tilde_cocycle", params, trials, seed, entries)
 
 
 def verify_oracle_agreement(n: int, l: int, ctx, trials: int, seed: int) -> VerificationReport:
     """Optimized evaluator against the naive reference, exact agreement."""
-    from .naive import naive_evaluate
+    params = {"n": n, "l": l, "trials": trials, "seed": seed}
 
-    _require_trials(trials)
-    t0 = time.perf_counter()
-    report = VerificationReport(
-        check="oracle_agreement",
-        params={"n": n, "l": l, "trials": trials, "seed": seed},
-    )
-    descs = [build_Psi0(n, l), build_S_even(n, l)]
-    for t in range(trials):
-        rng = _trial_rng(seed, t)
-        residual = 0
-        for desc in descs:
-            args = sample_args(ctx, desc.arity, rng)
-            diff = evaluate(desc, ctx, args) - naive_evaluate(desc, ctx, args)
-            if diff != 0:
-                residual = diff
-                break
-        report.trials.append(_residual_entry(t, residual))
-        report.terms_evaluated += sum(
-            len(d.words) * math.factorial(d.arity) * math.factorial(n) for d in descs
-        )
-    report.ms = int((time.perf_counter() - t0) * 1000)
-    return report.finalize()
+    def entries(rngs):
+        descs = [build_Psi0(n, l), build_S_even(n, l)]
+        terms = sum(_term_count(d) for d in descs)
+        for t, rng in rngs():
+            residual = 0
+            for desc in descs:
+                args = sample_args(ctx, desc.arity, rng)
+                diff = evaluate(desc, ctx, args) - naive_evaluate(desc, ctx, args)
+                if diff != 0:
+                    residual = diff
+                    break
+            yield residual_entry(t, residual), terms
+
+    return run_trials("oracle_agreement", params, trials, seed, entries)

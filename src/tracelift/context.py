@@ -42,7 +42,6 @@ class MatrixContext:
         for i in range(self.n):
             for j in range(i + 1, self.n):
                 self._q[(i, j)] = mat.mat_comm(generators[i], generators[j])
-        self.has_q = True
         self._zero = mat.zero(N)
 
     # -- algebra operations -------------------------------------------------
@@ -66,9 +65,6 @@ class MatrixContext:
 
     def trace_mul(self, a, b):
         return mat.mat_trace_mul(a, b)
-
-    def zero(self):
-        return self._zero
 
     def elem_is_zero(self, a) -> bool:
         return mat.is_zero(a)

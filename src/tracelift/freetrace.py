@@ -63,10 +63,10 @@ def _q_slots(w) -> int:
     return sum(slot[0] == "q" for slot in w.slots)
 
 
-def _denominator(descs) -> int:
+def _denominator(desc: CochainDescriptor) -> int:
     """Common denominator of every expansion term: each word contributes its
     coefficient's denominator times 2 per Q slot."""
-    return math.lcm(*(w.coeff.denominator << _q_slots(w) for d in descs for w in d.words))
+    return math.lcm(*(w.coeff.denominator << _q_slots(w) for w in desc.words))
 
 
 def _expansion_terms(desc: CochainDescriptor, den: int):
@@ -118,7 +118,7 @@ def symbolic_expand(desc: CochainDescriptor) -> dict:
     Wrapped words (outer derivation outside the trace) are expanded by the
     Leibniz rule over every slot.
     """
-    den = _denominator([desc])
+    den = _denominator(desc)
     return free_trace_combine(_expansion_terms(desc, den), den)
 
 
@@ -259,15 +259,15 @@ def leibniz_term_count(n: int, l: int) -> int:
     return len(enumerate_a_even(n, l)) * n * m * math.factorial(m) * math.factorial(n)
 
 
-def certify_leibniz_sum_identity(n: int, l: int, size_bound: int = 8) -> dict:
+def certify_leibniz_sum_identity(n: int, l: int) -> dict:
     """Certify the Leibniz-sum identity sum_a S_tilde(a) = (n + 2l) S_even
     after full symbolic Leibniz expansion.
 
-    Expands every wrapped sum in one pass, accumulates cyclic words, and
-    compares the total against the even-sequence sum.  By the Leibniz rule the wrapped
-    derivation hits the demoted slot (n copies of S_even over all wrapped
-    words), one of the 2l plain slots (2l copies in total, after the
-    argument alternation), or another derivation slot (second-order
+    Expands the wrapped words of every sequence as one descriptor and
+    compares the total against the even-sequence sum.  By the Leibniz rule
+    the wrapped derivation hits the demoted slot (n copies of S_even over
+    all wrapped words), one of the 2l plain slots (2l copies in total, after
+    the argument alternation), or another derivation slot (second-order
     letters, cancelled by the derivation alternation); see
     docs/leibniz_sum_factor.md.
 
@@ -277,23 +277,19 @@ def certify_leibniz_sum_identity(n: int, l: int, size_bound: int = 8) -> dict:
     it, as the exact scalar ratio of the two expansions when one exists.
     Second-order letters must cancel in all cases.
 
-    Refused with ``ValueError`` before any expansion: n + 2l above
-    ``size_bound``, or a predicted ``leibniz_term_count`` above
-    ``LEIBNIZ_TERM_BUDGET``.
+    Refused with ``ValueError`` before any expansion when the predicted
+    ``leibniz_term_count`` is above ``LEIBNIZ_TERM_BUDGET``.
     """
-    if n + 2 * l > size_bound:
-        raise ValueError(f"n + 2l = {n + 2 * l} exceeds symbolic size bound {size_bound}")
     terms = leibniz_term_count(n, l)
     if terms > LEIBNIZ_TERM_BUDGET:
         raise ValueError(
             f"(n, l) = ({n}, {l}) needs {terms:,} Leibniz terms, over the "
             f"budget of {LEIBNIZ_TERM_BUDGET:,}"
         )
-    tildes = [build_S_tilde(a) for a in enumerate_a_even(n, l)]
-    den = _denominator(tildes)
-    tilde_total = free_trace_combine(
-        itertools.chain.from_iterable(_expansion_terms(t, den) for t in tildes), den
-    )
+    # every S_tilde(a) has arity n + 2l, so the wrapped sum is one descriptor
+    wrapped = CochainDescriptor(arity=n + 2 * l, n=n, words=tuple(
+        w for a in enumerate_a_even(n, l) for w in build_S_tilde(a).words))
+    tilde_total = symbolic_expand(wrapped)
     target = symbolic_expand(build_S_even(n, l))
     observed = None
     ratios = {Fraction(tilde_total.get(k, 0), v) for k, v in target.items()}

@@ -29,9 +29,10 @@ from __future__ import annotations
 import functools
 import math
 import re
-import time
 from dataclasses import dataclass
 from fractions import Fraction
+
+from .cohomology import VerificationReport, residual_entry, run_trials
 
 
 class InsufficientWindowError(Exception):
@@ -351,11 +352,12 @@ class PsiDOContext:
     backend = "psido"
 
     def __init__(self, nvars: int, depth: int = 16, q_cutoff: int | None = None):
+        if depth < 0:
+            raise ValueError("window depth >= 0 required")
         self.nvars = nvars
         self.n = 2 * nvars
         self.depth = depth
         self.q_cutoff = q_cutoff if q_cutoff is not None else depth
-        self.has_q = True
         self._zero = zero_symbol(nvars, depth)
         self._tags = [LogDerivationTag("ln_x", v) for v in range(nvars)] + [
             LogDerivationTag("ln_partial", v) for v in range(nvars)
@@ -381,9 +383,6 @@ class PsiDOContext:
 
     def trace_mul(self, a, b):
         return residue_trace_compose(a, b)
-
-    def zero(self):
-        return self._zero
 
     def elem_is_zero(self, a) -> bool:
         return a.is_zero_on_window()
@@ -425,58 +424,49 @@ def make_psido_context(nvars: int, depth: int = 16, q_cutoff: int | None = None)
 # ---------------------------------------------------------------------------
 
 def bracket_series_check(cutoff: int, depth: int | None = None, trials: int = 5,
-                         seed: int = 0):
+                         seed: int = 0) -> VerificationReport:
     """Verify exactly (within windows) that the commutator of the two log
     derivations is the adjoint of the truncated series, on random symbols.
 
-    Returns a VerificationReport; the series coefficients up to the cutoff
-    are recorded in the report parameters.
+    The series coefficients up to the cutoff are recorded in the report
+    parameters.
     """
-    from .cohomology import VerificationReport, _residual_entry, _trial_rng, _require_trials
-
     if cutoff < 1:
         raise ValueError("cutoff >= 1 required")
-    _require_trials(trials)
     if depth is None:
         depth = cutoff + 8
-    t0 = time.perf_counter()
     ctx = make_psido_context(1, depth=depth, q_cutoff=cutoff)
     tee = bracket_series_symbol(1, 0, cutoff, depth)
-    report = VerificationReport(
-        check="bracket_series",
-        params={
-            "cutoff": cutoff,
-            "depth": depth,
-            "trials": trials,
-            "seed": seed,
-            "coefficients": [
-                [Fraction(math.factorial(m - 1), m).numerator,
-                 Fraction(math.factorial(m - 1), m).denominator]
-                for m in range(1, cutoff + 1)
-            ],
-        },
-    )
     lnx = LogDerivationTag("ln_x", 0)
     lnp = LogDerivationTag("ln_partial", 0)
-    for t in range(trials):
-        rng = _trial_rng(seed, t)
-        a = ctx.sample(rng)
-        lhs = sym_sub(
-            apply_log_derivation(lnp, apply_log_derivation(lnx, a)),
-            apply_log_derivation(lnx, apply_log_derivation(lnp, a)),
-        )
-        rhs = sym_sub(compose(tee, a), compose(a, tee))
-        diff = sym_sub(lhs, rhs)
-        if any(m > -1 for m in diff.dmin):
-            raise InsufficientWindowError(
-                f"window {diff.dmin} too shallow for cutoff {cutoff}"
+
+    def entries(rngs):
+        for t, rng in rngs():
+            a = ctx.sample(rng)
+            lhs = sym_sub(
+                apply_log_derivation(lnp, apply_log_derivation(lnx, a)),
+                apply_log_derivation(lnx, apply_log_derivation(lnp, a)),
             )
-        residual = Fraction(0)
-        if not diff.is_zero_on_window():
-            residual = diff.terms[0][1]
-        report.trials.append(_residual_entry(t, residual))
-    report.ms = int((time.perf_counter() - t0) * 1000)
-    return report.finalize()
+            rhs = sym_sub(compose(tee, a), compose(a, tee))
+            diff = sym_sub(lhs, rhs)
+            if any(m > -1 for m in diff.dmin):
+                raise InsufficientWindowError(
+                    f"window {diff.dmin} too shallow for cutoff {cutoff}"
+                )
+            yield residual_entry(t, diff.terms[0][1] if diff.terms else 0), 0
+
+    params = {
+        "cutoff": cutoff,
+        "depth": depth,
+        "trials": trials,
+        "seed": seed,
+        "coefficients": [
+            [Fraction(math.factorial(m - 1), m).numerator,
+             Fraction(math.factorial(m - 1), m).denominator]
+            for m in range(1, cutoff + 1)
+        ],
+    }
+    return run_trials("bracket_series", params, trials, seed, entries)
 
 
 # ---------------------------------------------------------------------------

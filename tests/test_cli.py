@@ -163,11 +163,16 @@ def test_unknown_check_rejected(capsys):
     ("verify", "axioms", "--N", "-1"),
     ("verify", "axioms", "--N", "0"),
     ("oracle", "--N", "-1"),
+    # an option the chosen backend does not read
+    ("verify", "thm21", "--backend", "psido", "--n", "2", "--N", "-5", "--trials", "1"),
+    ("verify", "thm21", "--backend", "psido", "--n", "2", "--commuting", "--trials", "1"),
+    ("verify", "thm21", "--n", "2", "--window", "-7", "--trials", "1"),
 ], ids=["psido-window", "thm11-n0", "oracle-n0", "lemma111-n0",
         "lemma111-over-budget", "no-trials", "lemma11-noncommuting",
         "bracket-series-no-trials", "bracket-series-negative-trials",
         "bracket-series-cutoff0", "thm21-N-negative", "axioms-N-negative",
-        "axioms-N0", "oracle-N-negative"])
+        "axioms-N0", "oracle-N-negative", "psido-N", "psido-commuting",
+        "matrix-window"])
 def test_bad_parameters_are_usage_errors(capsys, argv):
     code, out = run_cli(capsys, *argv)
     assert code == 2

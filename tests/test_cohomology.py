@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from tracelift import cohomology
 from tracelift.cochains import build_Psi0, build_Psi_n1, build_Psi_nl, build_Sigma_interval
 from tracelift.cohomology import (
     ce_differential,
@@ -51,6 +52,13 @@ def test_shortening_sign_pinned_on_noncommuting_context():
     signs = rep.params["signs"]
     assert signs["1001"]["matched"] == signs["1001"]["expected"] == 1
     assert signs["1100"]["matched"] == signs["1100"]["expected"] == -1
+
+
+def test_shortening_sign_fails_when_the_differential_vanishes(monkeypatch):
+    # d(R_a) = 0 against a nonzero S_a matches neither sign
+    monkeypatch.setattr(cohomology, "ce_differential", lambda *args: 0)
+    rep = verify_shortening_sign(2, 1, ctx_for(2, seed=7), trials=3, seed=42)
+    assert not rep.passed
 
 
 def test_shortening_sign_degenerate_on_commuting_context():

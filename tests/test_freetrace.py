@@ -121,11 +121,6 @@ def test_wrapped_sum_is_proportional_with_factor_n_plus_2l(n, l, observed):
     assert res["identity_holds"] is (res["factor"] == observed)
 
 
-def test_leibniz_certificate_size_bound():
-    with pytest.raises(ValueError):
-        certify_leibniz_sum_identity(4, 3, size_bound=8)
-
-
 def test_leibniz_certificate_cost_budget():
     # the term counts of docs/leibniz_sum_factor.md
     assert leibniz_term_count(2, 3) == 5_160_960
@@ -134,6 +129,6 @@ def test_leibniz_certificate_cost_budget():
     assert leibniz_term_count(6, 1) == 8_360_755_200
     computed = [(1, 1), (2, 1), (3, 1), (1, 2), (2, 2), (1, 3), (4, 1), (3, 2), (2, 3)]
     assert all(leibniz_term_count(n, l) <= LEIBNIZ_TERM_BUDGET for n, l in computed)
-    for n, l in [(5, 1), (4, 2), (6, 1)]:
+    for n, l in [(5, 1), (4, 2), (6, 1), (4, 3)]:
         with pytest.raises(ValueError, match="budget"):
             certify_leibniz_sum_identity(n, l)

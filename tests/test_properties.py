@@ -201,18 +201,6 @@ def test_ce_differential_rejects_what_evaluate_rejects():
     with pytest.raises(ValueError, match="wrapped"):
         ce_differential(wrapped, ctx, args)
 
-    class QlessContext:
-        def __init__(self, ctx):
-            self._ctx = ctx
-
-        def __getattr__(self, attr):
-            if attr == "has_q":
-                raise AttributeError(attr)
-            return getattr(self._ctx, attr)
-
-    with pytest.raises(ValueError, match="needs Q"):
-        ce_differential(build_Psi_n1(2), QlessContext(ctx), args[:4])
-
 
 @st.composite
 def labelled_descriptors(draw):

@@ -73,6 +73,11 @@ def test_residue_raises_below_window():
         residue_trace(s)
 
 
+def test_context_refuses_negative_depth():
+    with pytest.raises(ValueError, match="depth >= 0"):
+        make_psido_context(1, depth=-7)
+
+
 def test_residue_of_commutator_vanishes():
     ctx = make_psido_context(1, depth=D)
     rng = random.Random(3)
