@@ -19,9 +19,11 @@ from .cochains import CochainDescriptor, build_differential, build_S_even, build
 from .combinatorics import enumerate_a_even, signed_permutations
 from .words import (
     arg,
+    atom_labels,
     canonicalize_cyclic,
     combine_maps,
     first_order,
+    orbit_class,
     qatom,
     second_order,
 )
@@ -69,16 +71,23 @@ def _denominator(desc: CochainDescriptor) -> int:
     return math.lcm(*(w.coeff.denominator << _q_slots(w) for w in desc.words))
 
 
-def _expansion_terms(desc: CochainDescriptor, den: int):
+def _identity(k: int):
+    """The identity permutation of range(k) with its sign, alone."""
+    return ((tuple(range(k)), 1),)
+
+
+def _expansion_terms(desc: CochainDescriptor, den: int, perms=signed_permutations):
     """(word, integer numerator over ``den``) of every alternated term;
     wrapped words are expanded by the Leibniz rule over every slot.
+    ``perms(k)`` yields the signed permutations alternated over;
+    ``_identity`` gives the words at the identity labelling alone.
 
     The derivation alternation is resolved first, into one plan per
     (tau, word) that a Q_{d,d} does not kill; the argument permutations
     then stream over the plans.
     """
     plans = []
-    for tau, stau in signed_permutations(desc.n):
+    for tau, stau in perms(desc.n):
         for w in desc.words:
             num = stau * w.coeff.numerator * (den // (w.coeff.denominator << _q_slots(w)))
             slots = []
@@ -96,7 +105,7 @@ def _expansion_terms(desc: CochainDescriptor, den: int):
             else:
                 outer = None if w.outer_dslot is None else tau[w.outer_dslot - 1] + 1
                 plans.append((num, outer, slots))
-    for sigma, ssig in signed_permutations(desc.arity):
+    for sigma, ssig in perms(desc.arity):
         for num, outer, slots in plans:
             atoms = []
             for pos, d, qa in slots:
@@ -129,6 +138,38 @@ def symbolic_differential(desc: CochainDescriptor) -> dict:
     if any(slot[0] == "q" for w in desc.words for slot in w.slots):
         raise ValueError("symbolic differential of Q-fused slots unsupported")
     return symbolic_expand(build_differential(desc))
+
+
+# ---------------------------------------------------------------------------
+# alternation-orbit classes
+# ---------------------------------------------------------------------------
+
+def class_combine(terms, denominator=1) -> dict:
+    """Accumulate (word, numerator) pairs into an orbit class -> Fraction
+    map: each word adds its numerator times its ``orbit_class`` sign, and
+    classes of alternated value 0 are dropped.  The class map of an
+    alternated expression determines it exactly."""
+    acc: dict = {}
+    for word, num in terms:
+        cls, sign, _ = orbit_class(word)
+        if sign:
+            acc[cls] = acc.get(cls, 0) + sign * num
+    return {c: Fraction(v, denominator) for c, v in acc.items() if v}
+
+
+def descriptor_classes(desc: CochainDescriptor) -> dict:
+    """Class map of ``symbolic_expand(desc)`` divided by arity! n!, computed
+    without the expansion: the descriptor's words, and the Leibniz hits of
+    its wrapped words, at the identity labelling."""
+    den = _denominator(desc)
+    return class_combine(_expansion_terms(desc, den, _identity), den)
+
+
+def expanded_size(classes: dict, arity: int, n: int) -> int:
+    """Cyclic words in the full expansion of a class map: the sum of the
+    orbit sizes arity! n! / stabilizer."""
+    group = math.factorial(arity) * math.factorial(n)
+    return sum(group // orbit_class(c)[2] for c in classes)
 
 
 # ---------------------------------------------------------------------------
@@ -242,61 +283,86 @@ def certify_in_relation_span(expr: dict, basis):
     return True, sol
 
 
+def relation_class_rank(basis, n: int):
+    """(classes, rank): the number of alternating classes the relation
+    generators reach, and the rank of their span in that class space.
+
+    Each generator whose words name all n derivation labels is projected to
+    classes by ``class_combine``; the others are skipped, as orbit classes
+    are taken over words that name every label.  Alternation maps the span
+    onto the span of the projections, so when rank equals classes every
+    alternating element over these classes is in the span, and a span
+    certificate there is vacuous: it holds for any alternating input.
+    """
+    labels = set(range(1, n + 1))
+    projected = [class_combine(g.items()) for g in basis
+                 if {d for atom in next(iter(g)) for d in atom_labels(atom)[0]} == labels]
+    classes = list(dict.fromkeys(c for p in projected for c in p))
+    matrix = [[p.get(c, 0) for p in projected] for c in classes]
+    _, pivots = _integer_gauss_jordan(matrix, [0] * len(classes))
+    return len(classes), len(pivots)
+
+
 # ---------------------------------------------------------------------------
 # Leibniz-sum identity certification
 # ---------------------------------------------------------------------------
 
-# Largest predicted Leibniz-term count certify_leibniz_sum_identity accepts.
-# The largest computed case, (2,3), has 5,160,960 terms (48 s); the next
-# ones, (5,1) and (4,2), have 1.1e8 and 3.1e8 (see docs/leibniz_sum_factor.md).
-LEIBNIZ_TERM_BUDGET = 10_000_000
+# Largest predicted class-path cost certify_leibniz_sum_identity accepts:
+# every (n, l) with n + 2l <= 11 is under it, the largest being (7,2) at
+# 260,876 (see docs/leibniz_sum_factor.md).
+LEIBNIZ_COST_BUDGET = 1_000_000
 
 
-def leibniz_term_count(n: int, l: int) -> int:
-    """Words the Leibniz-sum certificate canonicalizes: sequences x n wrapped
-    words x (n + 2l) slots x (n + 2l)! x n!."""
+def leibniz_class_cost(n: int, l: int) -> int:
+    """Predicted cost of the Leibniz-sum certificate: sequences x n wrapped
+    words x m Leibniz hits x m^2 for classifying a hit, m = n + 2l.  The
+    sequences split the l zero pairs over the n gaps: C(l + n - 1, n - 1)."""
     m = n + 2 * l
-    return len(enumerate_a_even(n, l)) * n * m * math.factorial(m) * math.factorial(n)
+    return math.comb(l + n - 1, n - 1) * n * m**3
 
 
 def certify_leibniz_sum_identity(n: int, l: int) -> dict:
     """Certify the Leibniz-sum identity sum_a S_tilde(a) = (n + 2l) S_even
-    after full symbolic Leibniz expansion.
+    in alternation-orbit classes.
 
-    Expands the wrapped words of every sequence as one descriptor and
-    compares the total against the even-sequence sum.  By the Leibniz rule
-    the wrapped derivation hits the demoted slot (n copies of S_even over
-    all wrapped words), one of the 2l plain slots (2l copies in total, after
-    the argument alternation), or another derivation slot (second-order
-    letters, cancelled by the derivation alternation); see
+    Each word of the even sum, and each Leibniz hit of a wrapped word, is
+    classified at the identity labelling (``descriptor_classes``); the
+    alternation maps the classes one-to-one onto the alternated elements,
+    so comparing class maps is comparing the full expansions.  By the
+    Leibniz rule the wrapped derivation hits the demoted slot (n copies of
+    S_even over all wrapped words), one of the 2l plain slots (2l copies in
+    total, after the argument alternation), or another derivation slot
+    (second-order letters, whose classes are 0); see
     docs/leibniz_sum_factor.md.
 
     ``identity_holds`` is the exact emptiness of the residual
     ``sum_a S_tilde(a) - factor * S_even`` with ``factor`` = n + 2l.
     ``proportional`` and ``observed_factor`` are computed independently of
-    it, as the exact scalar ratio of the two expansions when one exists.
-    Second-order letters must cancel in all cases.
+    it, as the exact scalar ratio of the two class maps when one exists.
+    Second-order letters must cancel in all cases.  The ``*_terms`` counts
+    are cyclic words of the full expansions (``expanded_size``).
 
-    Refused with ``ValueError`` before any expansion when the predicted
-    ``leibniz_term_count`` is above ``LEIBNIZ_TERM_BUDGET``.
+    Refused with ``ValueError`` before any work when the predicted
+    ``leibniz_class_cost`` is above ``LEIBNIZ_COST_BUDGET``.
     """
-    terms = leibniz_term_count(n, l)
-    if terms > LEIBNIZ_TERM_BUDGET:
+    cost = leibniz_class_cost(n, l)
+    if cost > LEIBNIZ_COST_BUDGET:
         raise ValueError(
-            f"(n, l) = ({n}, {l}) needs {terms:,} Leibniz terms, over the "
-            f"budget of {LEIBNIZ_TERM_BUDGET:,}"
+            f"(n, l) = ({n}, {l}) has a predicted certificate cost of {cost:,}, "
+            f"over the budget of {LEIBNIZ_COST_BUDGET:,}"
         )
-    # every S_tilde(a) has arity n + 2l, so the wrapped sum is one descriptor
-    wrapped = CochainDescriptor(arity=n + 2 * l, n=n, words=tuple(
+    m = n + 2 * l
+    # every S_tilde(a) has arity m, so the wrapped sum is one descriptor
+    wrapped = CochainDescriptor(arity=m, n=n, words=tuple(
         w for a in enumerate_a_even(n, l) for w in build_S_tilde(a).words))
-    tilde_total = symbolic_expand(wrapped)
-    target = symbolic_expand(build_S_even(n, l))
+    tilde_total = descriptor_classes(wrapped)
+    target = descriptor_classes(build_S_even(n, l))
     observed = None
     ratios = {Fraction(tilde_total.get(k, 0), v) for k, v in target.items()}
     proportional = len(ratios) == 1 and all(k in target for k in tilde_total)
     if proportional:
         observed = ratios.pop()
-    factor = n + 2 * l
+    factor = m
     diff = combine_maps([(tilde_total, Fraction(1)), (target, Fraction(-factor))])
     second_order_left = [cw for cw in tilde_total if any(at[0] == "s" for at in cw)]
     return {
@@ -309,7 +375,7 @@ def certify_leibniz_sum_identity(n: int, l: int) -> dict:
         if observed is not None
         else None,
         "second_order_cancelled": not second_order_left,
-        "tilde_terms": len(tilde_total),
-        "target_terms": len(target),
-        "residual_terms": len(diff),
+        "tilde_terms": expanded_size(tilde_total, m, n),
+        "target_terms": expanded_size(target, m, n),
+        "residual_terms": expanded_size(diff, m, n),
     }

@@ -12,11 +12,17 @@ The trace property Tr(ab) = Tr(ba) is encoded structurally: a word inside
 a trace is identified with all its rotations, and ``canonicalize_cyclic``
 picks the lexicographically minimal rotation under a fixed total order on
 atoms (kind rank 'a' < 'f' < 's' < 'q', then indices).
+
+Alternation over arguments and derivations (S_m x S_n, with signs) is
+encoded the same way: ``orbit_class`` maps a word to the minimal rotation
+after renumbering its labels, with the sign of that renumbering.
 """
 
 from __future__ import annotations
 
 import functools
+
+from .combinatorics import perm_sign
 
 _KIND_RANK = {"a": 0, "f": 1, "s": 2, "q": 3}
 
@@ -69,6 +75,79 @@ def canonicalize_cyclic(word):
         if k < best_key:
             best, best_key = r, k
     return word[best:] + word[:best]
+
+
+def atom_labels(atom):
+    """(derivation labels, argument labels) of one atom."""
+    kind = atom[0]
+    if kind == "a":
+        return (), atom[1:]
+    if kind == "q":
+        return atom[1:], ()
+    return atom[1:-1], atom[-1:]
+
+
+def _renumbered(word):
+    """``word`` with its argument and its derivation labels each renumbered
+    1, 2, ... in order of appearance, and the sign of the two renumberings.
+    A pair letter's labels are both new where it stands (each label occurs
+    in one letter), so they stay ascending and the letter keeps its sign."""
+    ders: dict = {}
+    args: dict = {}
+    out = []
+    for atom in word:
+        ds, xs = atom_labels(atom)
+        out.append((atom[0], *(ders.setdefault(d, len(ders) + 1) for d in ds),
+                    *(args.setdefault(x, len(args) + 1) for x in xs)))
+    return tuple(out), perm_sign(list(ders)) * perm_sign(list(args))
+
+
+def orbit_class(word):
+    """Class of ``word`` under relabelling (S_m x S_n) and rotation.
+
+    Returns (class, sign, stabilizer) with Alt(word) = sign * Alt(class),
+    Alt the signed sum over S_m x S_n.  The class is the smallest rotation,
+    by ``atom_key``, after renumbering the argument and the derivation
+    labels in order of appearance.  Every label must occur in one letter
+    only (as in every word a descriptor expands to; ``ValueError``
+    otherwise), so the renumbered rotation depends only on its sequence of
+    letter kinds, and the rotations with the smallest kind sequence are the
+    ones that reach the class.  ``stabilizer`` is their number times 2 per
+    pair letter (two derivation labels) whose label swap gives the same
+    letter: the class's orbit holds m! n! / stabilizer cyclic words.  When
+    two of those rotations have opposite signs, or a pair swap has sign -1
+    (the transposition's -1 times the letter's sign change), Alt(word) =
+    -Alt(word) = 0 and (None, 0, 0) is returned.
+    """
+    word = tuple(word)
+    labels = [atom_labels(atom) for atom in word]
+    for k in (0, 1):
+        seen = [x for lab in labels for x in lab[k]]
+        if len(set(seen)) < len(seen):
+            raise ValueError(f"a label occurs twice in {word}")
+    size = len(word)
+    ranks = [_KIND_RANK[atom[0]] for atom in word] * 2
+    low = min(ranks[r : r + size] for r in range(size))
+    signs = set()
+    stabilizer = 0
+    for r in range(size):
+        if ranks[r : r + size] == low:
+            cls, sign = _renumbered(word[r:] + word[:r])
+            signs.add(sign)
+            stabilizer += 1
+    for atom, (ds, xs) in zip(word, labels):
+        if len(ds) == 2:
+            if atom[0] == "q":
+                swapped, s = qatom(ds[1], ds[0])
+            else:
+                swapped, s = second_order(ds[1], ds[0], *xs), 1
+            if swapped == atom:
+                if s == 1:  # times the transposition's -1
+                    return None, 0, 0
+                stabilizer *= 2
+    if len(signs) > 1:
+        return None, 0, 0
+    return cls, sign, stabilizer
 
 
 def combine_maps(maps_with_coeffs):

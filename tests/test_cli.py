@@ -148,8 +148,8 @@ def test_unknown_check_rejected(capsys):
     ("oracle", "--n", "0", "--l", "1"),
     # no even-run sequences
     ("verify", "lemma111", "--n", "0", "--l", "1"),
-    # 8.4e9 predicted Leibniz terms, refused before any expansion
-    ("verify", "lemma111", "--n", "6", "--l", "1"),
+    # predicted cost 2.6e13, refused before walking C(39,19) bit patterns
+    ("verify", "lemma111", "--n", "20", "--l", "10"),
     # a check needs at least one trial
     ("verify", "thm21", "--n", "2", "--trials", "0"),
     # the even sum vanishes only for commuting derivations

@@ -11,9 +11,12 @@ of the full product on both backends, including where the psido window is
 too shallow; the integer-numerator psido operations against the
 per-contribution ``Fraction`` formulas kept below as the reference; and the
 free-trace layer (integer-numerator expansions, fraction-free span solve)
-against ``Fraction`` references kept below as well.
+against ``Fraction`` references kept below as well; alternation-orbit
+classes against the full expansion; and the symbolic expansion, evaluated
+word by word on matrices, against the kernel.
 """
 
+import functools
 import itertools
 import json
 import math
@@ -40,6 +43,9 @@ from tracelift.combinatorics import signed_permutations
 from tracelift.context import random_matrix_context
 from tracelift.freetrace import (
     _integer_gauss_jordan,
+    class_combine,
+    descriptor_classes,
+    expanded_size,
     solve_rational,
     symbolic_differential,
     symbolic_expand,
@@ -89,9 +95,9 @@ def words(draw, n, arity, q=True):
 
 
 @st.composite
-def descriptors(draw):
-    n = draw(st.sampled_from([2, 3]))
-    arity = draw(st.integers(n - n // 2, 4))
+def descriptors(draw, ns=(2, 3), min_arity=1, max_arity=4):
+    n = draw(st.sampled_from(ns))
+    arity = draw(st.integers(max(min_arity, n - n // 2), max_arity))
     ws = draw(st.lists(words(n, arity), min_size=1, max_size=3))
     return CochainDescriptor(arity=arity, n=n, words=tuple(ws))
 
@@ -495,11 +501,11 @@ wide_coefficients = st.builds(
 
 
 @st.composite
-def expansion_descriptors(draw):
+def expansion_descriptors(draw, **shape):
     """Descriptors with coefficients such as 1/3 and -5/2; a word without Q
     slots may instead be wrapped: one derived slot turns plain and its
-    derivation moves outside the trace."""
-    desc = draw(descriptors())
+    derivation moves outside the trace.  ``shape`` goes to ``descriptors``."""
+    desc = draw(descriptors(**shape))
     ws = []
     for w in desc.words:
         slots, outer = w.slots, None
@@ -519,6 +525,53 @@ def test_symbolic_expand_matches_fraction_reference(desc):
     event("empty" if not got else "nonempty")
     assert got == _symbolic_expand_ref(desc)
     assert all(type(v) is Fraction for v in got.values())
+
+
+@settings(max_examples=60, deadline=None)
+@given(expansion_descriptors(ns=(1, 2, 3), min_arity=2, max_arity=6))
+@example(CochainDescriptor(4, 2, (TermWord(Fraction(1), (
+    ("d", 1, 1), ("p", 2), ("d", 3, 2), ("p", 4))),)))
+@example(CochainDescriptor(6, 2, (TermWord(Fraction(-3, 2), (
+    ("d", 1, 2), ("p", 2), ("p", 3), ("d", 4, 1), ("p", 5), ("p", 6))),)))
+def test_descriptor_classes_match_the_expansion(desc):
+    """Classifying a descriptor's own words gives the class map of its full
+    expansion over arity! n!, and the orbit sizes count its cyclic words.
+    The examples are periodic: a rotation by two that reverses the sign
+    (class 0), and a rotation by three that keeps it (stabilizer 2)."""
+    expanded = symbolic_expand(desc)
+    classes = descriptor_classes(desc)
+    event("empty" if not classes else "nonempty")
+    group = math.factorial(desc.arity) * math.factorial(desc.n)
+    assert class_combine(expanded.items()) == {c: group * v for c, v in classes.items()}
+    assert expanded_size(classes, desc.arity, desc.n) == len(expanded)
+
+
+def _evaluate_words(expanded, ctx, args):
+    """A cyclic-word map evaluated word by word: a = A_i, f = [G_d, A_i] and
+    q = [G_d, G_e], each word the trace of its letters' product."""
+    total = 0
+    for word, coeff in expanded.items():
+        letters = []
+        for atom in word:
+            if atom[0] == "a":
+                letters.append(args[atom[1] - 1])
+            elif atom[0] == "f":
+                letters.append(ctx.deriv(atom[1] - 1, args[atom[2] - 1]))
+            else:
+                letters.append(ctx.q(atom[1] - 1, atom[2] - 1))
+        total += coeff * mat_trace(functools.reduce(mat_mul, letters))
+    return total
+
+
+@settings(max_examples=40, deadline=None)
+@given(descriptors(), st.integers(0, 10**6))
+def test_symbolic_expansion_evaluates_to_the_kernel(desc, seed):
+    """The symbolic expansion and the alternation kernel agree on matrices."""
+    ctx = random_matrix_context(random.Random(seed), desc.n, 3)
+    args = sample_args(ctx, desc.arity, random.Random(seed + 1))
+    value = evaluate(desc, ctx, args)
+    event("nonzero" if value else "zero")
+    assert _evaluate_words(symbolic_expand(desc), ctx, args) == value
 
 
 @st.composite

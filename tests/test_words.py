@@ -1,5 +1,6 @@
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -10,6 +11,7 @@ from tracelift.words import (
     canonicalize_cyclic,
     combine_maps,
     first_order,
+    orbit_class,
     qatom,
     second_order,
 )
@@ -100,3 +102,37 @@ def test_combine_maps_scales():
     m1 = {canonicalize_cyclic(w): Fraction(2)}
     out = combine_maps([(m1, Fraction(3)), (m1, Fraction(-2))])
     assert out == {canonicalize_cyclic(w): Fraction(2)}
+
+
+def test_orbit_class_is_rotation_invariant_and_signed_by_relabelling():
+    w = (first_order(1, 1), arg(2), arg(3))
+    cls, sign, stabilizer = orbit_class(w)
+    assert cls == (arg(1), arg(2), first_order(1, 3)) and stabilizer == 1
+    for k in range(3):
+        assert orbit_class(w[k:] + w[:k]) == (cls, sign, stabilizer)
+    # the transposition of A_2 and A_3 is odd
+    assert orbit_class((first_order(1, 1), arg(3), arg(2))) == (cls, -sign, 1)
+
+
+def test_orbit_class_vanishes_on_a_sign_reversing_stabilizer():
+    # swapping the labels of D_1 D_2 A_1 fixes the letter, with sign -1
+    assert orbit_class((second_order(1, 2, 1), arg(2))) == (None, 0, 0)
+    # rotating DA_1 A_2 DA_3 A_4 by two: (13)(24) is even, (12) odd
+    w = (first_order(1, 1), arg(2), first_order(2, 3), arg(4))
+    assert orbit_class(w) == (None, 0, 0)
+
+
+def test_orbit_class_q_letter_carries_its_sign():
+    w = (first_order(3, 1), arg(2), qatom(1, 2)[0])
+    cls, sign, stabilizer = orbit_class(w)
+    # Q_de = -Q_ed: the label swap fixes the class, so it doubles the stabilizer
+    assert stabilizer == 2
+    # relabelling D_2 <-> D_3 is odd
+    assert orbit_class((first_order(2, 1), arg(2), qatom(1, 3)[0])) == (cls, -sign, 2)
+    # D_1 <-> D_3 is odd too, but turns Q_12 into Q_32 = -Q_23
+    assert orbit_class((first_order(1, 1), arg(2), qatom(2, 3)[0])) == (cls, sign, 2)
+
+
+def test_orbit_class_refuses_a_repeated_label():
+    with pytest.raises(ValueError, match="twice"):
+        orbit_class((arg(1), first_order(1, 1)))
