@@ -18,9 +18,13 @@ generator letters ('g', ds) take a derivation and no argument).  It walks a
 word's slots left to right by dynamic programming over the pair (used
 argument mask, used derivation mask): products are bilinear, so all
 assignments reaching the same pair are summed before the next
-multiplication, and the last slot is fused into the trace through the
-context's ``trace_mul``.  A word costs about one product per reachable state
-and choice instead of one per permutation.
+multiplication.  Every step into a state is collected as a signed (negate,
+product, factor) term, and the state's value is one call of the context's
+``mul_sum`` on them.  The first slot's sums are never formed: each of their
+summands becomes a term of the second slot, so the kernel calls no ``add``,
+``sub`` or ``scale``.  The last slot is fused into the trace through the
+context's ``trace_mul``.  A word costs about one product term per reachable
+state and choice instead of one product per permutation.
 
 The same kernel computes the Chevalley-Eilenberg differential in one pass
 over the k + 1 arguments: an argument slot may also take the bracket
@@ -433,8 +437,10 @@ def _alternate(words, ctx, args, nd: int, differential: bool = False):
     The slots are walked left to right.  A state is the mask of used
     arguments and derivations and holds the signed sum of the products of
     every path that reaches it, so paths meet before the next
-    multiplication.  A step's sign is the parity of the used elements greater
-    than each new choice; the last slot is fused into ``ctx.trace_mul``.
+    multiplication: one ``ctx.mul_sum`` of the steps into it, or after the
+    first slot the unsummed list of them.  A step's sign is the parity of
+    the used elements greater than each new choice; the last slot is fused
+    into ``ctx.trace_mul``.
 
     With ``differential`` the value is d(words) at the k + 1 ``args``, with
     bracket choices as the module docstring says: a path has taken its
@@ -474,7 +480,7 @@ def _alternate(words, ctx, args, nd: int, differential: bool = False):
             memo[key] = f
         return f
 
-    mul, add, sub = ctx.mul, ctx.add, ctx.sub
+    trace, trace_mul, mul_sum = ctx.trace, ctx.trace_mul, ctx.mul_sum
     total = 0
     for coeff, slots in words:
         order = _check_derivation_slots(slots, nd)
@@ -488,6 +494,8 @@ def _alternate(words, ctx, args, nd: int, differential: bool = False):
         nq = sum(1 for s in slots if s[0] == "q")
         sign = -perm_sign(order) if differential else perm_sign(order)
         coeff = Fraction(coeff * sign, 1 << nq)
+        # A state's value is a list of (negate, element) summands: one per
+        # step into it after the first slot, and one mul_sum after later ones.
         states = {0: None}
         value = 0
         last = len(slots) - 1
@@ -496,7 +504,7 @@ def _alternate(words, ctx, args, nd: int, differential: bool = False):
             kind = slot[0]
             after, forced, free = choices[kind != "g", len(_dslots(slot))]
             nxt = {}
-            for st, prod in states.items():
+            for st, summands in states.items():
                 if (st & amask).bit_count() > walked:
                     options = after
                 elif pos == lastarg:
@@ -509,18 +517,23 @@ def _alternate(words, ctx, args, nd: int, differential: bool = False):
                     neg = ((st & gt).bit_count() + inv) & 1
                     f = factor(kind, x, es)
                     if pos == last:
-                        t = ctx.trace(f) if prod is None else ctx.trace_mul(prod, f)
-                        value += -t if neg else t
+                        if summands is None:
+                            t = trace(f)
+                            value += -t if neg else t
+                        else:
+                            for sneg, p in summands:
+                                t = trace_mul(p, f)
+                                value += -t if neg ^ sneg else t
                         continue
-                    if prod is not None:
-                        f = mul(prod, f)
-                    key = st | bits
-                    old = nxt.get(key)
-                    if old is not None:
-                        f = sub(old, f) if neg else add(old, f)
-                    elif neg:
-                        f = ctx.scale(-1, f)
-                    nxt[key] = f
+                    terms = nxt.get(st | bits)
+                    if terms is None:
+                        terms = nxt[st | bits] = []
+                    if summands is None:
+                        terms.append((neg, f))
+                    else:
+                        terms += [(neg ^ sneg, p, f) for sneg, p in summands]
+            if pos:
+                nxt = {key: [(0, mul_sum(terms))] for key, terms in nxt.items()}
             states = nxt
             walked += kind != "g"
         total += coeff * value

@@ -6,6 +6,16 @@ backend uses inner derivations ad(G_i) on N x N rational matrices, where
 everything holds identically (Q_ij = [G_i, G_j], condition (ii) is the
 Jacobi identity).  Contexts and elements are immutable values; all
 operations are pure.
+
+The context protocol, shared with ``psido.PsiDOContext``: ``n`` (the number
+of derivations), ``mul``, ``add``, ``sub``, ``scale``, ``bracket``,
+``trace``, ``elem_is_zero``, ``deriv(d, a)``, ``q(i, j)`` and ``sample(rng)``;
+``generator(d)`` where derivations are inner.  Two calls serve the
+alternation kernel: ``trace_mul(a, b)``, the trace of a * b without forming
+it, and ``mul_sum(terms)``, the sum of the products a * b over at least one
+(negate, a, b) term, each negated where asked.  The kernel makes one
+``mul_sum`` per state and no ``add``, ``sub`` or ``scale``; here it is one
+matrix product, ``matrices.mat_mul_sum``.
 """
 
 from __future__ import annotations
@@ -47,6 +57,9 @@ class MatrixContext:
     # -- algebra operations -------------------------------------------------
     def mul(self, a, b):
         return mat.mat_mul(a, b)
+
+    def mul_sum(self, terms):
+        return mat.mat_mul_sum(terms)
 
     def add(self, a, b):
         return mat.mat_add(a, b)

@@ -41,6 +41,21 @@ def mat_mul(a, b):
     return tuple(tuple(sum(map(mul, ra, cb)) for cb in cols) for ra in a)
 
 
+def mat_mul_sum(terms):
+    """Sum of the products a * b, each negated where asked, over at least one
+    (negate, a, b) term, computed as one product: the rows of the a's laid
+    side by side times the columns of the b's stacked, each b's sign folded
+    into its columns."""
+    rows = [[] for _ in terms[0][1]]
+    cols = [[] for _ in terms[0][2][0]]
+    for neg, a, b in terms:
+        for row, ra in zip(rows, a):
+            row += ra
+        for col, cb in zip(cols, zip(*b)):
+            col += [-x for x in cb] if neg else cb
+    return tuple(tuple(sum(map(mul, ra, cb)) for cb in cols) for ra in rows)
+
+
 def mat_comm(a, b):
     """Commutator a*b - b*a."""
     return mat_sub(mat_mul(a, b), mat_mul(b, a))

@@ -220,34 +220,64 @@ def _product_window(a: PsiDOSymbol, b: PsiDOSymbol) -> tuple:
 
 
 def compose(a: PsiDOSymbol, b: PsiDOSymbol) -> PsiDOSymbol:
-    """Normal-ordered operator product.
+    """Normal-ordered operator product: the one-term ``compose_sum``."""
+    return compose_sum([(False, a, b)])
+
+
+def compose_sum(terms) -> PsiDOSymbol:
+    """Sum of the normal-ordered products a * b, each negated where asked,
+    over at least one (negate, a, b) term.
 
     Per variable, d^b x^c = sum_k C(b,k) c^(k) x^{c-k} d^{b-k}; the k-sum
-    is truncated exactly at the result window, which shrinks by the top
-    order of the other operand on each side.  Products are summed as
-    integers over the product of the operands' common denominators.
+    is truncated exactly at the sum's window, the shallowest of the
+    products' windows, each of which shrinks by the top order of the other
+    operand on each side.  This is the window and the value the sequential
+    fold of ``compose``, ``sym_add`` and ``sym_sub`` gives.  Terms that share
+    their right operand (the alternation kernel's folded first-slot sums)
+    first sum their left operands, so each such product is formed once.
+    Everything is summed as integers over the lcm of the products' common
+    denominators, and each output term builds one ``Fraction``.
     """
-    _check_compat(a, b)
-    nv = a.nvars
-    dmin = _product_window(a, b)
-    dtop = tuple(a.dtop[i] + b.dtop[i] for i in range(nv))
-    den_a, ta = _integer_terms(a)
-    den_b, tb = _integer_terms(b)
+    first = terms[0][1]
+    nv = first.nvars
+    for _, a, b in terms:
+        _check_compat(first, a)
+        _check_compat(first, b)
+    windows = [_product_window(a, b) for _, a, b in terms]
+    dmin = tuple(max(w[i] for w in windows) for i in range(nv))
+    dtop = tuple(max(a.dtop[i] + b.dtop[i] for _, a, b in terms) for i in range(nv))
+    lefts: dict = {}
+    for neg, a, b in terms:
+        lefts.setdefault(id(b), (b, []))[1].append((neg, _integer_terms(a)))
+    products = []  # (den, left numerators, right numerators)
+    for b, signed in lefts.values():
+        den_l = math.lcm(*(den for _, (den, _) in signed))
+        left: dict = {}
+        for neg, (den, ta) in signed:
+            m = -(den_l // den) if neg else den_l // den
+            for key, c in ta:
+                left[key] = left.get(key, 0) + m * c
+        den_b, tb = _integer_terms(b)
+        products.append((den_l * den_b, [t for t in left.items() if t[1]], tb))
+    den = math.lcm(*(d for d, _, _ in products))
     out: dict = {}
     get = out.get
-    for (ax, ad), ca in ta:
-        for (bx, bd), cb in tb:
-            # (x-exponents, d-exponents, coefficient) after each variable
-            parts = [((), (), ca * cb)]
-            for i in range(nv):
-                sx, sd = ax[i] + bx[i], ad[i] + bd[i]
-                opts = _shift_coeffs(ad[i], bx[i], sd - dmin[i])
-                parts = [(xs + (sx - k,), ds + (sd - k,), c * ck)
-                         for xs, ds, c in parts for k, ck in enumerate(opts)]
-            for xs, ds, c in parts:
-                key = (xs, ds)
-                out[key] = get(key, 0) + c
-    return _from_integers(nv, out, den_a * den_b, dmin, dtop)
+    for d, ta, tb in products:
+        m = den // d
+        for (ax, ad), ca in ta:
+            ca *= m
+            for (bx, bd), cb in tb:
+                # (x-exponents, d-exponents, coefficient) after each variable
+                parts = [((), (), ca * cb)]
+                for i in range(nv):
+                    sx, sd = ax[i] + bx[i], ad[i] + bd[i]
+                    opts = _shift_coeffs(ad[i], bx[i], sd - dmin[i])
+                    parts = [(xs + (sx - k,), ds + (sd - k,), c * ck)
+                             for xs, ds, c in parts for k, ck in enumerate(opts)]
+                for xs, ds, c in parts:
+                    key = (xs, ds)
+                    out[key] = get(key, 0) + c
+    return _from_integers(nv, out, den, dmin, dtop)
 
 
 def residue_trace(a: PsiDOSymbol) -> Fraction:
@@ -365,6 +395,9 @@ class PsiDOContext:
 
     def mul(self, a, b):
         return compose(a, b)
+
+    def mul_sum(self, terms):
+        return compose_sum(terms)
 
     def add(self, a, b):
         return sym_add(a, b)

@@ -1,14 +1,16 @@
-"""Hypothesis properties of the alternation kernel, of ``trace_mul`` and of
-the psido symbol arithmetic.
+"""Hypothesis properties of the alternation kernel, of ``trace_mul`` and
+``mul_sum``, and of the psido symbol arithmetic.
 
 The kernel is checked against the naive oracle on random valid descriptors
 (plain, derived and Q-fused slots, derivation slots named out of order,
 coefficients other than 1), for antisymmetry in its arguments, and for a
 lossless JSON round trip of the descriptor; its one-pass differential
 against the per-pair sum kept below as the reference, on descriptors,
-inner expansions and psido windows; ``trace_mul`` against the trace
+inner expansions and psido windows, with examples for the first-slot sums
+the kernel folds into its ``mul_sum`` terms; ``trace_mul`` against the trace
 of the full product on both backends, including where the psido window is
-too shallow; the integer-numerator psido operations against the
+too shallow; ``mul_sum`` against the signed sum of single products on both
+backends; the integer-numerator psido operations against the
 per-contribution ``Fraction`` formulas kept below as the reference; and the
 free-trace layer (integer-numerator expansions, fraction-free span solve)
 against ``Fraction`` references kept below as well; alternation-orbit
@@ -29,6 +31,8 @@ from hypothesis import strategies as st
 
 from tracelift.cochains import (
     CochainDescriptor,
+    ExpandedCochain,
+    ExpandedWord,
     TermWord,
     build_Psi_n1,
     build_differential,
@@ -50,7 +54,14 @@ from tracelift.freetrace import (
     symbolic_differential,
     symbolic_expand,
 )
-from tracelift.matrices import mat_mul, mat_trace, mat_trace_mul
+from tracelift.matrices import (
+    mat_add,
+    mat_mul,
+    mat_mul_sum,
+    mat_sub,
+    mat_trace,
+    mat_trace_mul,
+)
 from tracelift.naive import naive_evaluate
 from tracelift.psido import (
     InsufficientWindowError,
@@ -59,6 +70,7 @@ from tracelift.psido import (
     apply_log_derivation,
     bracket_series_symbol,
     compose,
+    compose_sum,
     laurent_symbol,
     make_psido_context,
     residue_trace,
@@ -102,8 +114,23 @@ def descriptors(draw, ns=(2, 3), min_arity=1, max_arity=4):
     return CochainDescriptor(arity=arity, n=n, words=tuple(ws))
 
 
+# Words whose first-slot sums the kernel folds into the next products, each
+# nonzero at seed 1 in both properties below: a Q-fused first slot (both
+# orders of its two derivations reach one state), a one-slot word (its
+# trace taken directly) and a two-slot word (the first slot's sum folded
+# into the trace_mul of the last).
+_Q_FIRST = CochainDescriptor(3, 2, (
+    TermWord(Fraction(1), (("q", 1, 1, 2), ("p", 2), ("p", 3))),))
+_ONE_SLOT = CochainDescriptor(1, 2, (TermWord(Fraction(-2, 3), (("q", 1, 2, 1),)),))
+_TWO_SLOTS = CochainDescriptor(2, 3, (
+    TermWord(Fraction(1), (("q", 1, 1, 2), ("d", 2, 3))),))
+
+
 @settings(max_examples=40, deadline=None)
 @given(descriptors(), st.integers(0, 10**6))
+@example(_Q_FIRST, 1)
+@example(_ONE_SLOT, 1)
+@example(_TWO_SLOTS, 1)
 def test_evaluate_matches_naive_on_random_descriptors(desc, seed):
     ctx = random_matrix_context(random.Random(seed), desc.n, 3)
     args = sample_args(ctx, desc.arity, random.Random(seed + 1))
@@ -159,6 +186,11 @@ _INNER = expand_inner(CochainDescriptor(3, 2, (
 @given(st.one_of(descriptors(), expanded_cochains()), st.integers(0, 10**6))
 @example(_INNER, 1)
 @example(split_adjacency(_INNER)[1], 1)
+@example(_Q_FIRST, 1)
+@example(_ONE_SLOT, 1)
+@example(_TWO_SLOTS, 1)
+@example(ExpandedCochain(2, 2, (
+    ExpandedWord(Fraction(1), (("g", 1), ("a", 1), ("g", 2), ("a", 2))),)), 1)
 def test_ce_differential_matches_per_pair_reference(cochain, seed):
     ctx = random_matrix_context(random.Random(seed), cochain.n, 3)
     args = sample_args(ctx, cochain.arity + 1, random.Random(seed + 1))
@@ -245,6 +277,27 @@ matrices = st.integers(1, 4).flatmap(
 def test_matrix_trace_mul_is_trace_of_product(ab):
     a, b = ab
     assert mat_trace_mul(a, b) == mat_trace(mat_mul(a, b))
+
+
+@st.composite
+def signed_products(draw):
+    """1-12 (negate, a, b) terms of N x N matrices, N in 1-4, with integer
+    or Fraction entries; sometimes every term negated."""
+    N = draw(st.integers(1, 4))
+    entries = st.one_of(st.integers(-5, 5), coefficients)
+    matrix = st.tuples(*[st.tuples(*[entries] * N)] * N)
+    negs = st.just(True) if draw(st.booleans()) else st.booleans()
+    return draw(st.lists(st.tuples(negs, matrix, matrix), min_size=1, max_size=12))
+
+
+@settings(max_examples=80, deadline=None)
+@given(signed_products())
+def test_matrix_mul_sum_is_signed_sum_of_products(terms):
+    N = len(terms[0][1])
+    want = tuple(tuple(0 for _ in range(N)) for _ in range(N))
+    for neg, a, b in terms:
+        want = (mat_sub if neg else mat_add)(want, mat_mul(a, b))
+    assert mat_mul_sum(terms) == want
 
 
 @st.composite
@@ -393,6 +446,44 @@ def test_psido_arithmetic_matches_fraction_reference(ab, kind, data):
     full = _residue_or_fault(lambda: residue_trace(_compose_ref(a, b)))
     event("fault" if full is InsufficientWindowError else "exact")
     assert fused == full
+
+
+def _compose_fold(terms):
+    """The sequential fold: compose each term, then sym_add or sym_sub it
+    into the sum, negating a first term with sym_scale."""
+    total = None
+    for neg, a, b in terms:
+        prod = compose(a, b)
+        if total is None:
+            total = sym_scale(-1, prod) if neg else prod
+        else:
+            total = (sym_sub if neg else sym_add)(total, prod)
+    return total
+
+
+@st.composite
+def signed_compositions(draw):
+    """1-5 (negate, a, b) terms on operands of different windows, derived or
+    Q-fused; terms may share their right operand, as the kernel's folded
+    first-slot sums do."""
+    nv = draw(st.integers(1, 2))
+    operand = st.integers(0, 8).flatmap(lambda depth: operands(nv, depth))
+    rights = draw(st.lists(operand, min_size=1, max_size=3))
+    return draw(st.lists(st.tuples(st.booleans(), operand, st.sampled_from(rights)),
+                         min_size=1, max_size=5))
+
+
+@settings(max_examples=80, deadline=None)
+@given(signed_compositions())
+def test_psido_mul_sum_matches_sequential_fold(terms):
+    """On operands of different windows, derived or Q-fused: the same terms,
+    dmin and dtop as composing one term at a time."""
+    got = compose_sum(terms)
+    event("empty" if got.is_zero_on_window() else "nonempty")
+    event("shared right operand" if len({id(b) for _, _, b in terms}) < len(terms)
+          else "distinct right operands")
+    assert got == _compose_fold(terms)
+    assert all(type(v) is Fraction for _, v in got.terms)
 
 
 # The per-term Fraction formulas of the free-trace layer: every term's
