@@ -26,6 +26,17 @@ summands becomes a term of the second slot, so the kernel calls no ``add``,
 context's ``trace_mul``.  A word costs about one product term per reachable
 state and choice instead of one product per permutation.
 
+On a graded backend (``ctx.order`` not ``None``: psido symbols, graded by
+d-order) a state is computed only as far as the trace can read it.  Each
+slot kind has a top order, the largest order of the factors such a slot can
+take, and the state after a slot will be multiplied by factors whose orders
+sum to at most ``rest``, the tops of the slots after it.  A product never
+raises d-order above the sum of its factors' orders, so a term of the state
+below d-exponent -1 - rest in some variable cannot reach the residue
+x^-1 d^-1.  The kernel passes ``rest`` to ``mul_sum``, which drops such
+terms.  The windows stay those of the full products, so a fault is raised
+exactly where it was without the truncation.
+
 The same kernel computes the Chevalley-Eilenberg differential in one pass
 over the k + 1 arguments: an argument slot may also take the bracket
 [A_u, A_v] of two unused arguments u < v, at most once per path, and the last
@@ -43,6 +54,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, permutations
+from operator import add
 
 from .combinatorics import (
     EvenSequence,
@@ -451,6 +463,13 @@ def _alternate(words, ctx, args, nd: int, differential: bool = False):
 
     On a windowed backend a sum keeps the shallowest window of its terms, so
     the fused trace faults exactly when the trace of some single path would.
+    On a graded one each ``mul_sum`` gets the demand floor ``rest`` of the
+    module docstring: per variable, the sum over the later slots of the
+    largest ``ctx.order`` of the factors each can take, read through the
+    factor memo.  A state truncated so holds fewer coefficients than its
+    window claims and is exact only for what the later slots and the trace
+    make of it, so no state leaves this function: states are never
+    returned and never enter the factor memo.
     """
     nargs = len(args)
     amask = (1 << nargs) - 1
@@ -480,6 +499,20 @@ def _alternate(words, ctx, args, nd: int, differential: bool = False):
             memo[key] = f
         return f
 
+    # On a graded backend, the top order of each slot kind: per variable,
+    # the largest order of the factors such a slot can take.
+    graded = bool(elements) and ctx.order(elements[0]) is not None
+    tops = {}
+
+    def top(slot):
+        kind = slot[0]
+        t = tops.get(kind)
+        if t is None:
+            options = choices[kind != "g", len(_dslots(slot))][2]
+            orders = [ctx.order(factor(kind, x, es)) for x, es, *_ in options]
+            t = tops[kind] = tuple(map(max, zip(*orders)))
+        return t
+
     trace, trace_mul, mul_sum = ctx.trace, ctx.trace_mul, ctx.mul_sum
     total = 0
     for coeff, slots in words:
@@ -487,6 +520,14 @@ def _alternate(words, ctx, args, nd: int, differential: bool = False):
         lastarg = max((p for p, s in enumerate(slots) if s[0] != "g"), default=-1)
         if differential and lastarg < 0:
             continue  # nothing to bracket
+        # what the state after each slot passes to mul_sum after its terms:
+        # on a graded backend, the orders the later slots can add
+        rests = [()] * len(slots)
+        if graded:
+            rest = top(slots[-1])
+            for pos in range(len(slots) - 2, 0, -1):
+                rests[pos] = (rest,)
+                rest = tuple(map(add, rest, top(slots[pos])))
         # A word naming derivation slots out of order gets that order's sign.
         # The derivation alternation must not antisymmetrize the two indices
         # inside one Q (each swap reproduces the same term via Q_ji = -Q_ij),
@@ -533,7 +574,8 @@ def _alternate(words, ctx, args, nd: int, differential: bool = False):
                     else:
                         terms += [(neg ^ sneg, p, f) for sneg, p in summands]
             if pos:
-                nxt = {key: [(0, mul_sum(terms))] for key, terms in nxt.items()}
+                nxt = {key: [(0, mul_sum(terms, *rests[pos]))]
+                       for key, terms in nxt.items()}
             states = nxt
             walked += kind != "g"
         total += coeff * value

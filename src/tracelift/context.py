@@ -10,12 +10,17 @@ operations are pure.
 The context protocol, shared with ``psido.PsiDOContext``: ``n`` (the number
 of derivations), ``mul``, ``add``, ``sub``, ``scale``, ``bracket``,
 ``trace``, ``elem_is_zero``, ``deriv(d, a)``, ``q(i, j)`` and ``sample(rng)``;
-``generator(d)`` where derivations are inner.  Two calls serve the
+``generator(d)`` where derivations are inner.  Three calls serve the
 alternation kernel: ``trace_mul(a, b)``, the trace of a * b without forming
-it, and ``mul_sum(terms)``, the sum of the products a * b over at least one
-(negate, a, b) term, each negated where asked.  The kernel makes one
-``mul_sum`` per state and no ``add``, ``sub`` or ``scale``; here it is one
-matrix product, ``matrices.mat_mul_sum``.
+it; ``mul_sum(terms)``, the sum of the products a * b over at least one
+(negate, a, b) term, each negated where asked; and ``order(a)``, the top
+order of ``a`` per variable on a graded algebra, else ``None``.  The kernel
+makes one ``mul_sum`` per state and no ``add``, ``sub`` or ``scale``.
+Where ``order`` is not ``None`` it passes ``mul_sum(terms, rest)``, with
+``rest`` the sum of the orders the state's remaining factors can have, and
+the result needs to be exact only where it can still reach the trace
+(``psido.compose_sum``).  Matrices have no grading: ``order`` is ``None``,
+and ``mul_sum`` is one matrix product, ``matrices.mat_mul_sum``.
 """
 
 from __future__ import annotations
@@ -78,6 +83,9 @@ class MatrixContext:
 
     def trace_mul(self, a, b):
         return mat.mat_trace_mul(a, b)
+
+    def order(self, a):
+        return None
 
     def elem_is_zero(self, a) -> bool:
         return mat.is_zero(a)

@@ -22,6 +22,11 @@ integers per output term, and each surviving term builds one ``Fraction``.
 Sums and scalings touch only the coefficients they change.  A result's
 keys come out unique and inside its window, so none of these re-normalize
 through ``PsiDOSymbol.make``.
+
+The alternation kernel reads only residues, so its sums of products
+(``compose_sum`` with a demand floor ``rest``) skip every coefficient that
+the remaining factors, of orders summing to at most ``rest``, cannot carry
+to d^-1; such a partial symbol never leaves the kernel.
 """
 
 from __future__ import annotations
@@ -224,19 +229,32 @@ def compose(a: PsiDOSymbol, b: PsiDOSymbol) -> PsiDOSymbol:
     return compose_sum([(False, a, b)])
 
 
-def compose_sum(terms) -> PsiDOSymbol:
+def compose_sum(terms, rest=None) -> PsiDOSymbol:
     """Sum of the normal-ordered products a * b, each negated where asked,
     over at least one (negate, a, b) term.
 
-    Per variable, d^b x^c = sum_k C(b,k) c^(k) x^{c-k} d^{b-k}; the k-sum
-    is truncated exactly at the sum's window, the shallowest of the
-    products' windows, each of which shrinks by the top order of the other
-    operand on each side.  This is the window and the value the sequential
-    fold of ``compose``, ``sym_add`` and ``sym_sub`` gives.  Terms that share
-    their right operand (the alternation kernel's folded first-slot sums)
-    first sum their left operands, so each such product is formed once.
-    Everything is summed as integers over the lcm of the products' common
+    Per variable, d^b x^c = sum_k C(b,k) c^(k) x^{c-k} d^{b-k}.  The sum's
+    window is the shallowest of the products' windows, each of which
+    shrinks by the top order of the other operand on each side: this is
+    the window and the value the sequential fold of ``compose``,
+    ``sym_add`` and ``sym_sub`` gives.  Terms that share their right
+    operand (the alternation kernel's folded first-slot sums) first sum
+    their left operands, so each such product is formed once.  Everything
+    is summed as integers over the lcm of the products' common
     denominators, and each output term builds one ``Fraction``.
+
+    ``rest``, per variable, is the most the d-order can still grow through
+    the factors that will multiply the sum from the right before its
+    residue is read.  A product of two terms has d-exponents at most the
+    sum of theirs, so a term below d-exponent -1 - rest cannot reach
+    x^-1 d^-1.  The k-sum is therefore cut at the larger of the window and
+    -1 - rest, and the result holds fewer coefficients than its window
+    (``dmin`` and ``dtop``, unchanged) claims: it is fit only to be
+    multiplied by factors whose orders sum to at most ``rest``, and traced.
+    Pairs of terms whose d-orders sum below the cut in some variable
+    contribute nothing and are skipped, as are left terms below the cut
+    minus the right operand's top order; without ``rest`` the cut is the
+    window, and the skipped pairs are the same ones the k-sum leaves empty.
     """
     first = terms[0][1]
     nv = first.nvars
@@ -246,11 +264,14 @@ def compose_sum(terms) -> PsiDOSymbol:
     windows = [_product_window(a, b) for _, a, b in terms]
     dmin = tuple(max(w[i] for w in windows) for i in range(nv))
     dtop = tuple(max(a.dtop[i] + b.dtop[i] for _, a, b in terms) for i in range(nv))
+    cut = dmin if rest is None else tuple(max(m, -1 - r) for m, r in zip(dmin, rest))
     lefts: dict = {}
     for neg, a, b in terms:
         lefts.setdefault(id(b), (b, []))[1].append((neg, _integer_terms(a)))
     products = []  # (den, left numerators, right numerators)
     for b, signed in lefts.values():
+        if not b.terms:
+            continue
         den_l = math.lcm(*(den for _, (den, _) in signed))
         left: dict = {}
         for neg, (den, ta) in signed:
@@ -258,7 +279,10 @@ def compose_sum(terms) -> PsiDOSymbol:
             for key, c in ta:
                 left[key] = left.get(key, 0) + m * c
         den_b, tb = _integer_terms(b)
-        products.append((den_l * den_b, [t for t in left.items() if t[1]], tb))
+        floor = [c - max(bd[i] for (_, bd), _ in tb) for i, c in enumerate(cut)]
+        ta = [t for t in left.items()
+              if t[1] and all(e >= f for e, f in zip(t[0][1], floor))]
+        products.append((den_l * den_b, ta, tb))
     den = math.lcm(*(d for d, _, _ in products))
     out: dict = {}
     get = out.get
@@ -267,11 +291,15 @@ def compose_sum(terms) -> PsiDOSymbol:
         for (ax, ad), ca in ta:
             ca *= m
             for (bx, bd), cb in tb:
+                # the d-order of the pair, less the cut: what k can reach
+                reach = [x + y - c for x, y, c in zip(ad, bd, cut)]
+                if min(reach) < 0:
+                    continue
                 # (x-exponents, d-exponents, coefficient) after each variable
                 parts = [((), (), ca * cb)]
                 for i in range(nv):
                     sx, sd = ax[i] + bx[i], ad[i] + bd[i]
-                    opts = _shift_coeffs(ad[i], bx[i], sd - dmin[i])
+                    opts = _shift_coeffs(ad[i], bx[i], reach[i])
                     parts = [(xs + (sx - k,), ds + (sd - k,), c * ck)
                              for xs, ds, c in parts for k, ck in enumerate(opts)]
                 for xs, ds, c in parts:
@@ -396,8 +424,11 @@ class PsiDOContext:
     def mul(self, a, b):
         return compose(a, b)
 
-    def mul_sum(self, terms):
-        return compose_sum(terms)
+    def mul_sum(self, terms, rest=None):
+        return compose_sum(terms, rest)
+
+    def order(self, a):
+        return a.dtop
 
     def add(self, a, b):
         return sym_add(a, b)

@@ -177,3 +177,17 @@ def test_bad_parameters_are_usage_errors(capsys, argv):
     code, out = run_cli(capsys, *argv)
     assert code == 2
     assert out == ""
+
+
+def test_psido_shallow_window_fault_is_pinned(capsys):
+    """Window 1 is too shallow for the residue on these trials: the fault is
+    a usage error that names the exponent and the window."""
+    try:
+        code = main(["verify", "thm21", "--backend", "psido", "--n", "2",
+                     "--window", "1", "--trials", "12", "--seed", "3"])
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "d-exponent (-1,) below window (0,)" in captured.err

@@ -10,7 +10,8 @@ inner expansions and psido windows, with examples for the first-slot sums
 the kernel folds into its ``mul_sum`` terms; ``trace_mul`` against the trace
 of the full product on both backends, including where the psido window is
 too shallow; ``mul_sum`` against the signed sum of single products on both
-backends; the integer-numerator psido operations against the
+backends, and the psido ``mul_sum`` with a demand floor against the full
+sum; the integer-numerator psido operations against the
 per-contribution ``Fraction`` formulas kept below as the reference; and the
 free-trace layer (integer-numerator expansions, fraction-free span solve)
 against ``Fraction`` references kept below as well; alternation-orbit
@@ -484,6 +485,33 @@ def test_psido_mul_sum_matches_sequential_fold(terms):
           else "distinct right operands")
     assert got == _compose_fold(terms)
     assert all(type(v) is Fraction for _, v in got.terms)
+
+
+@settings(max_examples=80, deadline=None)
+@given(signed_compositions(), st.data())
+def test_psido_mul_sum_demand_floor_keeps_what_the_residue_reads(terms, data):
+    """With a demand floor ``rest``: the window of the full sum and its
+    coefficients at every d-exponent at or above -1 - rest in every
+    variable; a right factor whose order is at most ``rest`` reads the same
+    residue from it as from the full sum, or faults on both."""
+    nv = terms[0][1].nvars
+    rest = data.draw(st.tuples(*[st.integers(-3, 3)] * nv))
+    # an operand, times d^-s where its order would pass rest
+    depth = data.draw(st.integers(0, 8))
+    factor = data.draw(operands(nv, depth))
+    shift = tuple(min(0, r - t) for r, t in zip(rest, factor.dtop))
+    factor = _compose_ref(factor, laurent_symbol(nv, {((0,) * nv, shift): 1}, 8))
+    assert all(t <= r for t, r in zip(factor.dtop, rest))
+    full, cut = compose_sum(terms), compose_sum(terms, rest)
+    assert (cut.dmin, cut.dtop) == (full.dmin, full.dtop)
+    kept = tuple((key, c) for key, c in full.terms
+                 if all(e >= -1 - r for e, r in zip(key[1], rest)))
+    event("truncated" if len(kept) < len(full.terms) else "complete")
+    assert cut.terms == kept
+    fused = _residue_or_fault(lambda: residue_trace_compose(cut, factor))
+    want = _residue_or_fault(lambda: residue_trace_compose(full, factor))
+    event("fault" if want is InsufficientWindowError else "nonzero" if want else "zero")
+    assert fused == want
 
 
 # The per-term Fraction formulas of the free-trace layer: every term's

@@ -1,12 +1,17 @@
+import itertools
 import math
 import random
 from fractions import Fraction
 
 import pytest
 
+from tracelift.cochains import CochainDescriptor, TermWord, build_Psi_n1, evaluate
+from tracelift.cohomology import ce_differential, sample_args
+from tracelift.naive import naive_evaluate
 from tracelift.psido import (
     InsufficientWindowError,
     LogDerivationTag,
+    PsiDOContext,
     _falling,
     _gbinom,
     apply_log_derivation,
@@ -169,3 +174,119 @@ def test_gbinom_is_an_exact_integer(b):
         value = _gbinom(b, k)
         assert type(value) is int
         assert value == Fraction(_falling(b, k), math.factorial(k))
+
+
+# ---------------------------------------------------------------------------
+# the alternation kernel on symbols: demand-driven truncation
+# ---------------------------------------------------------------------------
+
+class UnprunedContext(PsiDOContext):
+    """The psido context without orders: the kernel then passes ``mul_sum``
+    no demand floor, and every state is composed out to its full window."""
+
+    def order(self, a):
+        return None
+
+
+class RecordingContext(PsiDOContext):
+    """Records the demand floor of each of the kernel's ``mul_sum`` calls
+    and counts the coefficients they return."""
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.rests = []
+        self.coefficients = 0
+
+    def mul_sum(self, terms, rest=None):
+        self.rests.append(rest)
+        out = super().mul_sum(terms, rest)
+        self.coefficients += len(out.terms)
+        return out
+
+
+class UnprunedRecordingContext(UnprunedContext, RecordingContext):
+    pass
+
+
+def _naive_differential(desc, ctx, args):
+    """The per-pair differential, each pair evaluated by the naive oracle."""
+    total = 0
+    for i, j in itertools.combinations(range(len(args)), 2):
+        rest = tuple(a for k, a in enumerate(args) if k not in (i, j))
+        bracket = ctx.bracket(args[i], args[j])
+        total += (-1) ** (i + j) * naive_evaluate(desc, ctx, (bracket,) + rest)
+    return total
+
+
+@pytest.mark.parametrize("depth", [4, 6, 12])
+def test_kernel_truncation_keeps_psi_n1_values(depth):
+    """Psi_n1(2) and its leading word alone (not a cocycle): the truncated
+    kernel gives the naive oracle's and the unpruned kernel's values."""
+    ctx, unpruned = make_psido_context(1, depth), UnprunedContext(1, depth)
+    psi = build_Psi_n1(2)
+    lead = CochainDescriptor(psi.arity, psi.n, psi.words[:1])
+    values = []
+    for seed in range(4):
+        args = sample_args(ctx, psi.arity + 1, random.Random(seed))
+        for desc in (psi, lead):
+            value = evaluate(desc, ctx, args[:-1])
+            assert value == naive_evaluate(desc, ctx, args[:-1])
+            assert value == evaluate(desc, unpruned, args[:-1])
+            diff = ce_differential(desc, ctx, args)
+            assert diff == ce_differential(desc, unpruned, args)
+            assert diff == _naive_differential(desc, ctx, args)
+            values += [value, diff]
+    assert any(values)
+
+
+@pytest.mark.parametrize("slots,rests", [
+    ((("d", 1, 1), ("p", 2), ("p", 3), ("d", 4, 2)), [(3,), (1,)]),
+    ((("p", 1), ("p", 2), ("q", 3, 1, 2)), [(1,)]),
+], ids=["derived", "q-fused"])
+def test_kernel_passes_the_orders_of_the_later_slots(slots, rests):
+    """Arguments of order 2: a plain slot adds 2, a derived one 1 and a
+    Q-fused one 1 (the commutator series has order -1)."""
+    ctx = RecordingContext(1, 12)
+    desc = CochainDescriptor(len(slots), 2, (TermWord(Fraction(1), slots),))
+    args = [mono(i, 2) for i in range(len(slots))]
+    evaluate(desc, ctx, args)
+    assert list(dict.fromkeys(ctx.rests)) == rests
+
+
+def test_kernel_truncation_computes_fewer_coefficients():
+    """The demand floor at least halves the coefficients that the states of
+    d(Psi_n1(2)) hold on a depth-12 window."""
+    counts = []
+    for ctx in (UnprunedRecordingContext(1, 12), RecordingContext(1, 12)):
+        ce_differential(build_Psi_n1(2), ctx, sample_args(ctx, 4, random.Random(3)))
+        counts.append(ctx.coefficients)
+    assert counts[1] < counts[0] / 2
+
+
+def _symbol2(rng, depth):
+    """A two-variable symbol whose x-exponents stay within 1 of its
+    d-exponents, where residues of products live (the context's sampler
+    gives residue 0 for most two-variable words)."""
+    entries = {}
+    for _ in range(4):
+        d = (rng.randint(-1, 1), rng.randint(-1, 1))
+        x = tuple(e + rng.randint(-1, 1) for e in d)
+        entries[(x, d)] = Fraction(rng.choice([-3, -2, -1, 1, 2, 3]))
+    return laurent_symbol(2, entries, depth)
+
+
+def test_kernel_truncation_on_two_variables():
+    """n = 4 on the two-variable torus: a Q-fused slot and two derived ones."""
+    ctx, unpruned = make_psido_context(2, depth=6), UnprunedContext(2, 6)
+    desc = CochainDescriptor(3, 4, (TermWord(Fraction(1), (
+        ("q", 1, 1, 2), ("d", 2, 3), ("d", 3, 4))),))
+    for seed in (4, 6):
+        rng = random.Random(seed)
+        args = [_symbol2(rng, 6) for _ in range(4)]
+        value = evaluate(desc, ctx, args[:3])
+        assert value != 0
+        assert value == naive_evaluate(desc, ctx, args[:3])
+        assert value == evaluate(desc, unpruned, args[:3])
+        diff = ce_differential(desc, ctx, args)
+        assert diff != 0
+        assert diff == ce_differential(desc, unpruned, args)
