@@ -26,6 +26,18 @@ summands becomes a term of the second slot, so the kernel calls no ``add``,
 context's ``trace_mul``.  A word costs about one product term per reachable
 state and choice instead of one product per permutation.
 
+A slot's step reads only its signature: the slot kind, its number of
+derivation slots, whether it is the word's last argument slot, and the
+demand floor ``rest`` below; labels and derivation indices enter only the
+word's sign.  So a cochain's words are walked together, depth first over
+the prefix tree of their signature sequences, and a state after a common
+prefix is computed once for all of them (a Q correction is the lead word
+with adjacent derivation slots fused, and the inner expansion doubles the
+words at each derivation slot, so prefixes are long).  Each word's
+coefficient, with its derivation-order sign and 1/2 per Q slot, is applied
+at its leaf, and words with equal signatures are traced once.  A window
+fault is the one the words summed one by one raise.
+
 On a graded backend (``ctx.order`` not ``None``: psido symbols, graded by
 d-order) a state is computed only as far as the trace can read it.  Each
 slot kind has a top order, the largest order of the factors such a slot can
@@ -67,6 +79,7 @@ from .combinatorics import (
     perm_sign,
     reduce_sequence,
 )
+from .context import InsufficientWindowError
 
 
 def plain(i: int):
@@ -446,13 +459,15 @@ def _choices(takes_arg: bool, nder: int, nargs: int, nd: int, pairs) -> tuple:
 def _alternate(words, ctx, args, nd: int, differential: bool = False):
     """Sum of coeff times the double alternation of each (coeff, slots) word.
 
-    The slots are walked left to right.  A state is the mask of used
-    arguments and derivations and holds the signed sum of the products of
-    every path that reaches it, so paths meet before the next
-    multiplication: one ``ctx.mul_sum`` of the steps into it, or after the
-    first slot the unsummed list of them.  A step's sign is the parity of
-    the used elements greater than each new choice; the last slot is fused
-    into ``ctx.trace_mul``.
+    The words are walked together in sorted order of their signature
+    sequences (module docstring), with a stack of the states after each
+    step of the current path, so the states after a common prefix are
+    computed once.  A state is the mask of used arguments and derivations
+    and holds the signed sum of the products of every path that reaches it:
+    one ``ctx.mul_sum`` of the steps into it, or after the first slot the
+    unsummed list of them.  A step's sign is the parity of the used
+    elements greater than each new choice; the last slot is fused into
+    ``ctx.trace_mul``.
 
     With ``differential`` the value is d(words) at the k + 1 ``args``, with
     bracket choices as the module docstring says: a path has taken its
@@ -462,8 +477,9 @@ def _alternate(words, ctx, args, nd: int, differential: bool = False):
     u and v.
 
     On a windowed backend a sum keeps the shallowest window of its terms, so
-    the fused trace faults exactly when the trace of some single path would.
-    On a graded one each ``mul_sum`` gets the demand floor ``rest`` of the
+    the fused trace faults exactly when the trace of some single path would;
+    the fault raised is that of the first faulting word in ``words``.  On a
+    graded backend each ``mul_sum`` gets the demand floor ``rest`` of the
     module docstring: per variable, the sum over the later slots of the
     largest ``ctx.order`` of the factors each can take, read through the
     factor memo.  A state truncated so holds fewer coefficients than its
@@ -513,9 +529,9 @@ def _alternate(words, ctx, args, nd: int, differential: bool = False):
             t = tops[kind] = tuple(map(max, zip(*orders)))
         return t
 
-    trace, trace_mul, mul_sum = ctx.trace, ctx.trace_mul, ctx.mul_sum
-    total = 0
-    for coeff, slots in words:
+    # each word's signature sequence -> [its coefficient, first word index]
+    leaves = {}
+    for index, (coeff, slots) in enumerate(words):
         order = _check_derivation_slots(slots, nd)
         lastarg = max((p for p, s in enumerate(slots) if s[0] != "g"), default=-1)
         if differential and lastarg < 0:
@@ -528,6 +544,8 @@ def _alternate(words, ctx, args, nd: int, differential: bool = False):
             for pos in range(len(slots) - 2, 0, -1):
                 rests[pos] = (rest,)
                 rest = tuple(map(add, rest, top(slots[pos])))
+        key = tuple((s[0], len(_dslots(s)), p == lastarg, rests[p])
+                    for p, s in enumerate(slots))
         # A word naming derivation slots out of order gets that order's sign.
         # The derivation alternation must not antisymmetrize the two indices
         # inside one Q (each swap reproduces the same term via Q_ji = -Q_ij),
@@ -535,50 +553,74 @@ def _alternate(words, ctx, args, nd: int, differential: bool = False):
         nq = sum(1 for s in slots if s[0] == "q")
         sign = -perm_sign(order) if differential else perm_sign(order)
         coeff = Fraction(coeff * sign, 1 << nq)
-        # A state's value is a list of (negate, element) summands: one per
-        # step into it after the first slot, and one mul_sum after later ones.
-        states = {0: None}
-        value = 0
-        last = len(slots) - 1
-        walked = 0
-        for pos, slot in enumerate(slots):
-            kind = slot[0]
-            after, forced, free = choices[kind != "g", len(_dslots(slot))]
-            nxt = {}
-            for st, summands in states.items():
-                if (st & amask).bit_count() > walked:
-                    options = after
-                elif pos == lastarg:
-                    options = forced
-                else:
-                    options = free
-                for x, es, bits, gt, inv in options:
-                    if st & bits:
-                        continue
+        leaf = leaves.setdefault(key, [0, index])
+        leaf[0] += coeff
+
+    def moves(states, step, walked):
+        """Each (state, negate, summands, factor) that ``step`` takes from
+        one of ``states`` after ``walked`` argument slots."""
+        kind, nder, at_lastarg, _ = step
+        after, forced, free = choices[kind != "g", nder]
+        for st, summands in states.items():
+            if (st & amask).bit_count() > walked:
+                options = after
+            elif at_lastarg:
+                options = forced
+            else:
+                options = free
+            for x, es, bits, gt, inv in options:
+                if not st & bits:
                     neg = ((st & gt).bit_count() + inv) & 1
-                    f = factor(kind, x, es)
-                    if pos == last:
-                        if summands is None:
-                            t = trace(f)
-                            value += -t if neg else t
-                        else:
-                            for sneg, p in summands:
-                                t = trace_mul(p, f)
-                                value += -t if neg ^ sneg else t
-                        continue
-                    terms = nxt.get(st | bits)
-                    if terms is None:
-                        terms = nxt[st | bits] = []
-                    if summands is None:
-                        terms.append((neg, f))
-                    else:
-                        terms += [(neg ^ sneg, p, f) for sneg, p in summands]
+                    yield st | bits, neg, summands, factor(kind, x, es)
+
+    trace, trace_mul, mul_sum = ctx.trace, ctx.trace_mul, ctx.mul_sum
+    total = 0
+    fault = None  # (word index, error) of the first word whose trace faults
+    # The steps of the current path, and the (states, argument slots walked)
+    # before each of them and after the last.  A state's value is a list of
+    # (negate, element) summands: one per step into it after the first slot,
+    # and one mul_sum after later ones.
+    path, stack = [], [({0: None}, 0)]
+    for key, (coeff, index) in sorted(leaves.items()):
+        if fault is not None and fault[0] < index:
+            continue
+        depth = next((p for p, (a, b) in enumerate(zip(path, key)) if a != b),
+                     len(path))
+        del path[depth:], stack[depth + 1:]
+        states, walked = stack[-1]
+        for pos in range(depth, len(key) - 1):
+            step = key[pos]
+            nxt = {}
+            for st, neg, summands, f in moves(states, step, walked):
+                terms = nxt.get(st)
+                if terms is None:
+                    terms = nxt[st] = []
+                if summands is None:
+                    terms.append((neg, f))
+                else:
+                    terms += [(neg ^ sneg, p, f) for sneg, p in summands]
             if pos:
-                nxt = {key: [(0, mul_sum(terms, *rests[pos]))]
-                       for key, terms in nxt.items()}
-            states = nxt
-            walked += kind != "g"
+                nxt = {st: [(0, mul_sum(terms, *step[3]))]
+                       for st, terms in nxt.items()}
+            states, walked = nxt, walked + (step[0] != "g")
+            path.append(step)
+            stack.append((states, walked))
+        value = 0
+        try:
+            for _, neg, summands, f in moves(states, key[-1], walked):
+                if summands is None:
+                    t = trace(f)
+                    value += -t if neg else t
+                else:
+                    for sneg, p in summands:
+                        t = trace_mul(p, f)
+                        value += -t if neg ^ sneg else t
+        except InsufficientWindowError as exc:
+            fault = (index, exc)
+            continue
         total += coeff * value
+    if fault is not None:
+        raise fault[1]
     return total
 
 

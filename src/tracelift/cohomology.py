@@ -188,16 +188,17 @@ def verify_even_sum_vanishes(n: int, l: int, ctx, trials: int, seed: int,
     """The even-sequence sum evaluates to zero when derivations commute.
 
     On a context whose derivations do not commute the check is
-    inapplicable: no trial runs, and the report says why and fails.
+    inapplicable: no trial runs, and the report says why and fails.  Bad
+    (n, l) are refused first, whatever the context.
     """
     params = {"n": n, "l": l, "trials": trials, "seed": seed,
               "backend": getattr(ctx, "backend", "?")}
 
     def entries(rngs):
+        desc = build_S_even(n, l)
         if require_commuting and hasattr(ctx, "is_commuting") and not ctx.is_commuting():
             params["inapplicable"] = "derivations do not commute"
             return
-        desc = build_S_even(n, l)
         for t, rng in rngs():
             args = sample_args(ctx, desc.arity, rng)
             yield residual_entry(t, evaluate(desc, ctx, args)), _term_count(desc)

@@ -20,7 +20,9 @@ Where ``order`` is not ``None`` it passes ``mul_sum(terms, rest)``, with
 ``rest`` the sum of the orders the state's remaining factors can have, and
 the result needs to be exact only where it can still reach the trace
 (``psido.compose_sum``).  Matrices have no grading: ``order`` is ``None``,
-and ``mul_sum`` is one matrix product, ``matrices.mat_mul_sum``.
+and ``mul_sum`` is one matrix product, ``matrices.mat_mul_sum``.  A trace
+that the element's truncation window cannot give exactly raises
+``InsufficientWindowError`` (psido symbols; matrices never do).
 """
 
 from __future__ import annotations
@@ -28,6 +30,10 @@ from __future__ import annotations
 import json
 
 from . import matrices as mat
+
+
+class InsufficientWindowError(Exception):
+    """A requested coefficient lies outside the guaranteed-exact window."""
 
 
 class MatrixContext:

@@ -342,9 +342,12 @@ def certify_leibniz_sum_identity(n: int, l: int) -> dict:
     Second-order letters must cancel in all cases.  The ``*_terms`` counts
     are cyclic words of the full expansions (``expanded_size``).
 
-    Refused with ``ValueError`` before any work when the predicted
-    ``leibniz_class_cost`` is above ``LEIBNIZ_COST_BUDGET``.
+    Refused with ``ValueError`` before any work when n < 1 or l < 1, or
+    when the predicted ``leibniz_class_cost`` is above
+    ``LEIBNIZ_COST_BUDGET``.
     """
+    if n < 1 or l < 1:
+        raise ValueError("n >= 1 and l >= 1 required")
     cost = leibniz_class_cost(n, l)
     if cost > LEIBNIZ_COST_BUDGET:
         raise ValueError(

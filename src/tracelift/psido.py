@@ -38,10 +38,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .cohomology import VerificationReport, residual_entry, run_trials
-
-
-class InsufficientWindowError(Exception):
-    """A requested coefficient lies outside the guaranteed-exact window."""
+from .context import InsufficientWindowError
 
 
 def _falling(c: int, k: int) -> int:

@@ -191,3 +191,23 @@ def test_psido_shallow_window_fault_is_pinned(capsys):
     assert code == 2
     assert captured.out == ""
     assert "d-exponent (-1,) below window (0,)" in captured.err
+
+
+@pytest.mark.parametrize("argv", [
+    ("verify", "lemma111", "--n", "0", "--l", "1"),
+    ("verify", "lemma111", "--n", "-1", "--l", "1"),
+    ("verify", "lemma111", "--n", "2", "--l", "0"),
+    # refused for its parameters before the context's derivations are read
+    ("verify", "lemma11", "--n", "2", "--l", "0"),
+    ("verify", "lemma11", "--n", "2", "--l", "0", "--commuting"),
+], ids=["lemma111-n0", "lemma111-n-negative", "lemma111-l0", "lemma11-l0",
+        "lemma11-l0-commuting"])
+def test_bad_n_or_l_names_the_parameters(capsys, argv):
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.endswith("error: n >= 1 and l >= 1 required\n")

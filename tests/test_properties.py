@@ -7,7 +7,9 @@ coefficients other than 1), for antisymmetry in its arguments, and for a
 lossless JSON round trip of the descriptor; its one-pass differential
 against the per-pair sum kept below as the reference, on descriptors,
 inner expansions and psido windows, with examples for the first-slot sums
-the kernel folds into its ``mul_sum`` terms; ``trace_mul`` against the trace
+the kernel folds into its ``mul_sum`` terms; the kernel's walk over all of a
+cochain's words together against the sum over its words one by one, values
+and window faults alike; ``trace_mul`` against the trace
 of the full product on both backends, including where the psido window is
 too shallow; ``mul_sum`` against the signed sum of single products on both
 backends, and the psido ``mul_sum`` with a demand floor against the full
@@ -19,6 +21,7 @@ classes against the full expansion; and the symbolic expansion, evaluated
 word by word on matrices, against the kernel.
 """
 
+import dataclasses
 import functools
 import itertools
 import json
@@ -108,10 +111,10 @@ def words(draw, n, arity, q=True):
 
 
 @st.composite
-def descriptors(draw, ns=(2, 3), min_arity=1, max_arity=4):
+def descriptors(draw, ns=(2, 3), min_arity=1, max_arity=4, max_words=3):
     n = draw(st.sampled_from(ns))
     arity = draw(st.integers(max(min_arity, n - n // 2), max_arity))
-    ws = draw(st.lists(words(n, arity), min_size=1, max_size=3))
+    ws = draw(st.lists(words(n, arity), min_size=1, max_size=max_words))
     return CochainDescriptor(arity=arity, n=n, words=tuple(ws))
 
 
@@ -239,6 +242,124 @@ def test_ce_differential_rejects_what_evaluate_rejects():
         TermWord(Fraction(1), (("p", 1), ("d", 2, 2), ("p", 3)), outer_dslot=1),))
     with pytest.raises(ValueError, match="wrapped"):
         ce_differential(wrapped, ctx, args)
+
+
+def _outcome(fn):
+    """The value of ``fn()``, or the message of its window fault."""
+    try:
+        return fn()
+    except InsufficientWindowError as exc:
+        return f"fault: {exc}"
+
+
+def _kernel_outcomes(cochain, ctx, args, one_by_one=False):
+    """The value or fault of the kernel's evaluation (``evaluate`` or
+    ``evaluate_expanded``) at the first arity ``args`` and of its
+    differential at all of them; with ``one_by_one``, the reference: each
+    summed over the cochain's words taken as cochains of their own."""
+    kernels = (lambda c: c.evaluate(ctx, args[:-1]),
+               lambda c: ce_differential(c, ctx, args))
+    if not one_by_one:
+        return [_outcome(lambda: kernel(cochain)) for kernel in kernels]
+    parts = [dataclasses.replace(cochain, words=(w,)) for w in cochain.words]
+    return [_outcome(lambda: sum(kernel(c) for c in parts)) for kernel in kernels]
+
+
+def _residue_symbols(rng, nvars, depth, count):
+    """Symbols of 2-4 monomials whose x-exponents stay within 1 of their
+    d-exponents, where residues of products live."""
+    out = []
+    for _ in range(count):
+        entries = {}
+        for _ in range(rng.randint(2, 4)):
+            d = tuple(rng.randint(-1, 1) for _ in range(nvars))
+            x = tuple(e + rng.randint(-1, 1) for e in d)
+            entries[(x, d)] = Fraction(rng.choice([-3, -2, -1, 1, 2, 3]))
+        out.append(laurent_symbol(nvars, entries, depth))
+    return out
+
+
+@st.composite
+def kernel_cases(draw):
+    """(cochain, psido variables or 0 for matrices, window, seed): several
+    words of one shape, so that some share slot prefixes.  Matrices take
+    descriptors and inner expansions; psido symbols descriptors on one
+    variable (n = 2, windows 0-6) or two (n = 4, windows 0-4)."""
+    nvars = draw(st.sampled_from([0, 1, 2]))
+    if nvars == 0:
+        cochain = draw(st.one_of(descriptors(max_words=5), expanded_cochains()))
+    elif nvars == 1:
+        cochain = draw(descriptors(ns=(2,), max_words=5))
+    else:
+        cochain = draw(descriptors(ns=(4,), min_arity=2, max_arity=3, max_words=3))
+    depth = draw(st.integers(0, 6 if nvars < 2 else 4)) if nvars else None
+    return cochain, nvars, depth, draw(st.integers(0, 10**6))
+
+
+# Inner-expanded words with the common letter prefix A_1 G_1 that part
+# where the first takes its last argument letter (in the differential a
+# bracket is forced there) and the second does not; nonzero at seed 1.
+# Words of one cochain have the same number of argument letters, so a
+# common letter prefix fixes which of its letters is a last argument one.
+_LAST_ARG_APART = ExpandedCochain(2, 2, (
+    ExpandedWord(Fraction(1), (("a", 1), ("g", 1), ("a", 2), ("g", 2))),
+    ExpandedWord(Fraction(-2), (("a", 1), ("g", 2), ("g", 1), ("a", 2))),
+))
+# Psido words with the kind prefix (plain, plain) whose states after it get
+# different demand floors: two derived slots follow in one, a Q-fused and a
+# plain slot in the other (tests/test_psido.py checks the floors).
+_REST_APART = CochainDescriptor(4, 2, (
+    TermWord(Fraction(1), (("p", 1), ("p", 2), ("d", 3, 1), ("d", 4, 2))),
+    TermWord(Fraction(1), (("p", 1), ("p", 2), ("q", 3, 1, 2), ("p", 4))),
+))
+
+
+@settings(max_examples=60, deadline=None)
+@given(kernel_cases())
+@example((_INNER, 0, None, 1))
+@example((_LAST_ARG_APART, 0, None, 1))
+@example((_REST_APART, 1, 4, 0))
+def test_walk_equals_the_sum_over_single_words(case):
+    """Walking a cochain's words together gives the sum of the kernel's
+    values on each word alone, and the same window fault where one
+    faults."""
+    cochain, nvars, depth, seed = case
+    rng = random.Random(seed)
+    if nvars:
+        ctx = make_psido_context(nvars, depth)
+        args = _residue_symbols(rng, nvars, depth, cochain.arity + 1)
+    else:
+        ctx = random_matrix_context(rng, cochain.n, 3)
+        args = sample_args(ctx, cochain.arity + 1, rng)
+    together = _kernel_outcomes(cochain, ctx, args)
+    for value in together:
+        event("fault" if isinstance(value, str) else "nonzero" if value else "zero")
+    assert together == _kernel_outcomes(cochain, ctx, args, one_by_one=True)
+
+
+@pytest.mark.parametrize("depth", [0, 1, 2, 3])
+def test_window_faults_follow_the_word_order(depth):
+    """On windows too shallow for the residue, Psi_n1(2) and the same words
+    in the other order fault on the same trials, with the same message, as
+    the sum over single words, which raises the first faulting word's
+    fault.  At windows 0 and 1 both words fault on some trials, with
+    different messages."""
+    ctx = make_psido_context(1, depth)
+    psi = build_Psi_n1(2)
+    flipped = dataclasses.replace(psi, words=psi.words[::-1])
+    faults = differing = 0
+    for seed in range(12):
+        args = sample_args(ctx, psi.arity + 1, random.Random(seed))
+        for cochain in (psi, flipped):
+            together = _kernel_outcomes(cochain, ctx, args)
+            assert together == _kernel_outcomes(cochain, ctx, args, one_by_one=True)
+            faults += sum(isinstance(v, str) for v in together)
+        singles = [_kernel_outcomes(dataclasses.replace(psi, words=(w,)), ctx, args)
+                   for w in psi.words]
+        differing += sum(isinstance(a, str) and isinstance(b, str) and a != b
+                         for a, b in zip(*singles))
+    assert faults > 0
+    assert (differing > 0) == (depth < 2)
 
 
 @st.composite

@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -251,6 +252,25 @@ def test_kernel_passes_the_orders_of_the_later_slots(slots, rests):
     args = [mono(i, 2) for i in range(len(slots))]
     evaluate(desc, ctx, args)
     assert list(dict.fromkeys(ctx.rests)) == rests
+
+
+def test_words_with_a_common_kind_prefix_keep_their_own_floors():
+    """Arguments of order 2 as above: after the common prefix (plain,
+    plain) two derived slots add 2 and a Q-fused and a plain slot 3, so
+    walking the words together passes ``mul_sum`` the floors each word
+    alone gets, and computes the states after the prefix once per word."""
+    words = (TermWord(Fraction(1), (("p", 1), ("p", 2), ("d", 3, 1), ("d", 4, 2))),
+             TermWord(Fraction(1), (("p", 1), ("p", 2), ("q", 3, 1, 2), ("p", 4))))
+    args = [mono(i, 2) for i in range(4)]
+    alone = Counter()
+    for w in words:
+        ctx = RecordingContext(1, 12)
+        evaluate(CochainDescriptor(4, 2, (w,)), ctx, args)
+        alone += Counter(ctx.rests)
+    ctx = RecordingContext(1, 12)
+    evaluate(CochainDescriptor(4, 2, words), ctx, args)
+    assert Counter(ctx.rests) == alone
+    assert {(1,), (2,), (3,)} <= set(alone)
 
 
 def test_kernel_truncation_computes_fewer_coefficients():
