@@ -41,15 +41,8 @@ from .combinatorics import (
     enumerate_circles,
     enumerate_intervals,
     reduce_sequence,
-    signed_permutations,
 )
-from .context import (
-    MatrixContext,
-    make_matrix_context,
-    matrix_context_from_json,
-    matrix_context_to_json,
-    random_matrix_context,
-)
+from .context import MatrixContext, random_matrix_context
 from .freetrace import (
     certify_in_relation_span,
     certify_leibniz_sum_identity,
@@ -66,11 +59,9 @@ from .psido import (
     apply_log_derivation,
     bracket_series_check,
     compose,
-    format_symbol,
     laurent_symbol,
     make_psido_context,
     monomial,
-    parse_symbol,
     residue_trace,
 )
 from .words import canonicalize_cyclic

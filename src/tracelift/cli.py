@@ -161,8 +161,9 @@ RUNNERS = {
 def cmd_verify(args):
     report = RUNNERS[args.check](args)
     if "inapplicable" in report["params"]:
+        hint = "; pass --commuting" if args.backend == "matrix" else ""
         raise ValueError(f"{args.check} is inapplicable: "
-                         f"{report['params']['inapplicable']}; pass --commuting")
+                         f"{report['params']['inapplicable']}{hint}")
     _emit_report(report, args.format, args.out)
     return 0 if report["pass"] else 1
 

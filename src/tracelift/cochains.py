@@ -10,8 +10,10 @@ with a rational coefficient.  Argument labels i equal the slot position in
 the word; the derivation slot indices of a word name each of 1..n exactly
 once.  Evaluation is the unnormalized double alternation: sum over argument
 permutations and derivation permutations with parity signs, of the trace of
-the product.  Q index pairs are permuted but never independently
-antisymmetrized.
+the product, the quantization on Q_ij taking each derivation pair once.  The
+two orders of a pair give equal terms (swapping them flips the parity, and
+Q_ji = -Q_ij flips the factor), so a Q slot takes its pair in ascending
+order only.
 
 The evaluator is one kernel, shared with inner-expanded words (whose
 generator letters ('g', ds) take a derivation and no argument).  It walks a
@@ -34,9 +36,9 @@ the prefix tree of their signature sequences, and a state after a common
 prefix is computed once for all of them (a Q correction is the lead word
 with adjacent derivation slots fused, and the inner expansion doubles the
 words at each derivation slot, so prefixes are long).  Each word's
-coefficient, with its derivation-order sign and 1/2 per Q slot, is applied
-at its leaf, and words with equal signatures are traced once.  A window
-fault is the one the words summed one by one raise.
+coefficient, with its derivation-order sign, is applied at its leaf, and
+words with equal signatures are traced once.  A window fault is the one
+the words summed one by one raise.
 
 On a graded backend (``ctx.order`` not ``None``: psido symbols, graded by
 d-order) a state is computed only as far as the trace can read it.  Each
@@ -65,7 +67,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, permutations
+from itertools import combinations
 from operator import add
 
 from .combinatorics import (
@@ -420,16 +422,17 @@ def _check_ascending_args(slots, arity: int):
 
 
 def _choices(takes_arg: bool, nder: int, nargs: int, nd: int, pairs) -> tuple:
-    """The choices a slot can take, as (element, derivations, bits, gt, inv).
+    """The choices a slot can take, as (element, derivations, bits, gt).
 
     Elements 0..nargs-1 are the arguments and ``nargs + p`` is the bracket
     of ``pairs[p]``; element -1 stands for a slot that takes no argument.
     ``bits`` marks what a choice uses in a state mask (arguments from bit 0,
     derivations from bit ``nargs``), and the step's sign is the parity of
-    ``(state & gt).bit_count() + inv``.  Returns the choices of a state that
-    has taken its bracket (single arguments), of one that must take it now
-    (brackets; single arguments when there are none) and of one that still
-    may (both).
+    ``(state & gt).bit_count()``.  A Q slot takes each derivation pair once,
+    in ascending order, so no choice has an inversion of its own.  Returns
+    the choices of a state that has taken its bracket (single arguments),
+    of one that must take it now (brackets; single arguments when there are
+    none) and of one that still may (both).
     """
     amask = (1 << nargs) - 1
     singles = [(-1, 0, 0)]
@@ -439,18 +442,18 @@ def _choices(takes_arg: bool, nder: int, nargs: int, nd: int, pairs) -> tuple:
     # a bracket of u < v: the used arguments not strictly between u and v
     brackets = [(nargs + p, (1 << u) | (1 << v), amask ^ ((1 << v) - (2 << u)))
                 for p, (u, v) in enumerate(pairs if takes_arg else ())]
-    # derivations: the used ones above each, plus their own inversions
+    # derivations: the used ones above each
     ders = []
-    for es in permutations(range(nd), nder):
+    for es in combinations(range(nd), nder):
         dbits = dgt = 0
         for e in es:
             dbits |= 1 << e
             dgt ^= ((1 << nd) - 1) ^ ((2 << e) - 1)
-        ders.append((es, dbits << nargs, dgt << nargs, perm_sign(es) < 0))
+        ders.append((es, dbits << nargs, dgt << nargs))
 
     def combine(elems):
-        return [(x, es, abits | dbits, agt | dgt, inv)
-                for x, abits, agt in elems for es, dbits, dgt, inv in ders]
+        return [(x, es, abits | dbits, agt | dgt)
+                for x, abits, agt in elems for es, dbits, dgt in ders]
 
     singles, forced = combine(singles), combine(brackets)
     return singles, forced or singles, singles + forced
@@ -466,7 +469,8 @@ def _alternate(words, ctx, args, nd: int, differential: bool = False):
     and holds the signed sum of the products of every path that reaches it:
     one ``ctx.mul_sum`` of the steps into it, or after the first slot the
     unsummed list of them.  A step's sign is the parity of the used
-    elements greater than each new choice; the last slot is fused into
+    elements greater than each new choice, and a Q slot takes each
+    derivation pair once, in ascending order; the last slot is fused into
     ``ctx.trace_mul``.
 
     With ``differential`` the value is d(words) at the k + 1 ``args``, with
@@ -547,14 +551,9 @@ def _alternate(words, ctx, args, nd: int, differential: bool = False):
         key = tuple((s[0], len(_dslots(s)), p == lastarg, rests[p])
                     for p, s in enumerate(slots))
         # A word naming derivation slots out of order gets that order's sign.
-        # The derivation alternation must not antisymmetrize the two indices
-        # inside one Q (each swap reproduces the same term via Q_ji = -Q_ij),
-        # so the plain sum over-counts by 2 per Q slot.
-        nq = sum(1 for s in slots if s[0] == "q")
         sign = -perm_sign(order) if differential else perm_sign(order)
-        coeff = Fraction(coeff * sign, 1 << nq)
         leaf = leaves.setdefault(key, [0, index])
-        leaf[0] += coeff
+        leaf[0] += coeff * sign
 
     def moves(states, step, walked):
         """Each (state, negate, summands, factor) that ``step`` takes from
@@ -568,9 +567,9 @@ def _alternate(words, ctx, args, nd: int, differential: bool = False):
                 options = forced
             else:
                 options = free
-            for x, es, bits, gt, inv in options:
+            for x, es, bits, gt in options:
                 if not st & bits:
-                    neg = ((st & gt).bit_count() + inv) & 1
+                    neg = (st & gt).bit_count() & 1
                     yield st | bits, neg, summands, factor(kind, x, es)
 
     trace, trace_mul, mul_sum = ctx.trace, ctx.trace_mul, ctx.mul_sum
@@ -643,19 +642,18 @@ def kernel_words(cochain, ctx) -> list:
     return words
 
 
-def evaluate(d: CochainDescriptor, ctx, args):
-    """Exact value of the double alternation of ``d`` at ``args``."""
+def evaluate(d, ctx, args):
+    """Exact value of the double alternation of a descriptor or an
+    inner-expanded cochain ``d`` at ``args``; generator letters become the
+    context's generator elements (permuted by the derivation alternation)."""
     if len(args) != d.arity:
         raise ValueError(f"expected {d.arity} arguments, got {len(args)}")
     return _alternate(kernel_words(d, ctx), ctx, args, d.n)
 
 
-def evaluate_expanded(ec: ExpandedCochain, ctx, args):
-    """Evaluate an inner-expanded cochain; Gen letters become the context's
-    generator elements (permuted by the derivation alternation)."""
-    if len(args) != ec.arity:
-        raise ValueError(f"expected {ec.arity} arguments, got {len(args)}")
-    return _alternate(kernel_words(ec, ctx), ctx, args, ec.n)
+# inner-expanded cochains evaluate through this name, so that it can be
+# wrapped apart from ``evaluate``
+evaluate_expanded = evaluate
 
 
 # ---------------------------------------------------------------------------

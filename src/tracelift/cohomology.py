@@ -35,7 +35,7 @@ from .cochains import (
     kernel_words,
     split_adjacency,
 )
-from .combinatorics import enumerate_a_even, reduce_sequence, signed_permutations
+from .combinatorics import enumerate_a_even, perm_sign, reduce_sequence
 from .naive import naive_evaluate
 
 
@@ -166,9 +166,8 @@ def check_axioms(ctx, trials: int, seed: int) -> VerificationReport:
                         failed.append(f"antisym_q_{i + 1}{j + 1}")
             for triple in itertools.combinations(range(nd), 3):
                 alt = None
-                for tau, s in signed_permutations(3):
-                    i, j, k = (triple[tau[0]], triple[tau[1]], triple[tau[2]])
-                    term = ctx.scale(s, ctx.deriv(k, ctx.q(i, j)))
+                for i, j, k in itertools.permutations(triple):
+                    term = ctx.scale(perm_sign((i, j, k)), ctx.deriv(k, ctx.q(i, j)))
                     alt = term if alt is None else ctx.add(alt, term)
                 if alt is not None and not ctx.elem_is_zero(alt):
                     failed.append(f"alt_dq_{triple}")
@@ -196,7 +195,7 @@ def verify_even_sum_vanishes(n: int, l: int, ctx, trials: int, seed: int,
 
     def entries(rngs):
         desc = build_S_even(n, l)
-        if require_commuting and hasattr(ctx, "is_commuting") and not ctx.is_commuting():
+        if require_commuting and not ctx.is_commuting():
             params["inapplicable"] = "derivations do not commute"
             return
         for t, rng in rngs():
@@ -249,8 +248,16 @@ def verify_shortening_sign(n: int, l: int, ctx, trials: int, seed: int) -> Verif
 
 def verify_inner_tilde_cocycle(n: int, l: int, ctx, trials: int, seed: int) -> VerificationReport:
     """The adjacency-free part of the inner expansion is a cocycle, and the
-    differential respects the adjacency split."""
+    differential respects the adjacency split.
+
+    The inner expansion writes each derivation as the bracket with its
+    generator, so a context without generators (outer derivations, as on
+    psido symbols) is refused with ``ValueError``, after bad (n, l).
+    """
     psi0 = build_Psi0(n, l)
+    if not hasattr(ctx, "generator"):
+        raise ValueError("the inner expansion needs inner derivations; "
+                         f"the {getattr(ctx, 'backend', '?')} context has none")
     inner = expand_inner(psi0)
     tilde, rem = split_adjacency(inner)
     k = psi0.arity + 1

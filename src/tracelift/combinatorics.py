@@ -1,7 +1,7 @@
 """Index sets for the alternating trace sums.
 
 Even-gap bit sequences and their reductions, marked intervals, marked
-circles, and signed permutation iteration.  Bit sequences are tuples over
+circles, and permutation parity.  Bit sequences are tuples over
 {0, 1}; positions, marks and derivation indices are 1-based throughout, to
 match the slot labelling used by the cochain builders.
 """
@@ -163,30 +163,6 @@ def enumerate_circles(r: ReducedSequence, k: int):
         ):
             out.append(MarkedCircle(base=r, marks=marks))
     return out
-
-
-def signed_permutations(m: int):
-    """Yield every permutation of range(m) with its parity sign, streaming.
-
-    The sign flips according to the index of the element picked among the
-    remaining ones, so no per-permutation parity recomputation is needed.
-    """
-    if m < 0:
-        raise ValueError("m >= 0 required")
-
-    def rec(prefix, remaining, sign):
-        if not remaining:
-            yield tuple(prefix), sign
-            return
-        for idx in range(len(remaining)):
-            x = remaining[idx]
-            yield from rec(
-                prefix + [x],
-                remaining[:idx] + remaining[idx + 1 :],
-                sign if idx % 2 == 0 else -sign,
-            )
-
-    yield from rec([], list(range(m)), 1)
 
 
 def perm_sign(perm) -> int:

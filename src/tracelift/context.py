@@ -9,10 +9,12 @@ operations are pure.
 
 The context protocol, shared with ``psido.PsiDOContext``: ``n`` (the number
 of derivations), ``mul``, ``add``, ``sub``, ``scale``, ``bracket``,
-``trace``, ``elem_is_zero``, ``deriv(d, a)``, ``q(i, j)`` and ``sample(rng)``;
-``generator(d)`` where derivations are inner.  Three calls serve the
-alternation kernel: ``trace_mul(a, b)``, the trace of a * b without forming
-it; ``mul_sum(terms)``, the sum of the products a * b over at least one
+``trace``, ``elem_is_zero``, ``deriv(d, a)``, ``q(i, j)``, ``is_commuting()``
+(true iff every Q is zero; on a windowed algebra, zero on its window) and
+``sample(rng)``; ``generator(d)`` where derivations are inner, which the
+inner expansion needs.  Three calls serve the alternation kernel:
+``trace_mul(a, b)``, the trace of a * b without forming it;
+``mul_sum(terms)``, the sum of the products a * b over at least one
 (negate, a, b) term, each negated where asked; and ``order(a)``, the top
 order of ``a`` per variable on a graded algebra, else ``None``.  The kernel
 makes one ``mul_sum`` per state and no ``add``, ``sub`` or ``scale``.
@@ -26,8 +28,6 @@ that the element's truncation window cannot give exactly raises
 """
 
 from __future__ import annotations
-
-import json
 
 from . import matrices as mat
 
@@ -117,32 +117,6 @@ class MatrixContext:
     def sample(self, rng):
         """Random element; integer entries uniform in [-3, 3]."""
         return mat.random_matrix(rng, self.N)
-
-
-def make_matrix_context(generators) -> MatrixContext:
-    """Context with inner derivations from the given N x N generators."""
-    return MatrixContext(generators)
-
-
-def matrix_context_from_json(obj) -> MatrixContext:
-    """Load generators from {"n": int, "N": int, "generators": [[[num,den]..]..]}."""
-    if isinstance(obj, (str, bytes)):
-        obj = json.loads(obj)
-    gens = [mat.from_pairs(g) for g in obj["generators"]]
-    ctx = MatrixContext(gens)
-    if "n" in obj and obj["n"] != ctx.n:
-        raise ValueError(f"declared n={obj['n']} but {ctx.n} generators given")
-    if "N" in obj and obj["N"] != ctx.N:
-        raise ValueError(f"declared N={obj['N']} but generators are {ctx.N}x{ctx.N}")
-    return ctx
-
-
-def matrix_context_to_json(ctx: MatrixContext) -> dict:
-    return {
-        "n": ctx.n,
-        "N": ctx.N,
-        "generators": [mat.to_pairs(g) for g in ctx.generators],
-    }
 
 
 def random_matrix_context(rng, n: int, N: int, commuting: bool = False) -> MatrixContext:

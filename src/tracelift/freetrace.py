@@ -16,7 +16,7 @@ import math
 from fractions import Fraction
 
 from .cochains import CochainDescriptor, build_differential, build_S_even, build_S_tilde
-from .combinatorics import enumerate_a_even, signed_permutations
+from .combinatorics import enumerate_a_even, perm_sign
 from .words import (
     arg,
     atom_labels,
@@ -71,15 +71,15 @@ def _denominator(desc: CochainDescriptor) -> int:
     return math.lcm(*(w.coeff.denominator << _q_slots(w) for w in desc.words))
 
 
-def _identity(k: int):
-    """The identity permutation of range(k) with its sign, alone."""
-    return ((tuple(range(k)), 1),)
+def _identity(items):
+    """The identity permutation of ``items``, alone."""
+    return (tuple(items),)
 
 
-def _expansion_terms(desc: CochainDescriptor, den: int, perms=signed_permutations):
+def _expansion_terms(desc: CochainDescriptor, den: int, perms=itertools.permutations):
     """(word, integer numerator over ``den``) of every alternated term;
     wrapped words are expanded by the Leibniz rule over every slot.
-    ``perms(k)`` yields the signed permutations alternated over;
+    ``perms(range(k))`` yields the permutations alternated over;
     ``_identity`` gives the words at the identity labelling alone.
 
     The derivation alternation is resolved first, into one plan per
@@ -87,7 +87,8 @@ def _expansion_terms(desc: CochainDescriptor, den: int, perms=signed_permutation
     then stream over the plans.
     """
     plans = []
-    for tau, stau in perms(desc.n):
+    for tau in perms(range(desc.n)):
+        stau = perm_sign(tau)
         for w in desc.words:
             num = stau * w.coeff.numerator * (den // (w.coeff.denominator << _q_slots(w)))
             slots = []
@@ -105,7 +106,8 @@ def _expansion_terms(desc: CochainDescriptor, den: int, perms=signed_permutation
             else:
                 outer = None if w.outer_dslot is None else tau[w.outer_dslot - 1] + 1
                 plans.append((num, outer, slots))
-    for sigma, ssig in perms(desc.arity):
+    for sigma in perms(range(desc.arity)):
+        ssig = perm_sign(sigma)
         for num, outer, slots in plans:
             atoms = []
             for pos, d, qa in slots:

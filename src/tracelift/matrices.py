@@ -8,7 +8,6 @@ integer path.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from operator import mul
 
 
@@ -72,29 +71,6 @@ def mat_trace_mul(a, b):
 
 def is_zero(a) -> bool:
     return all(x == 0 for row in a for x in row)
-
-
-def from_pairs(rows):
-    """Build a matrix from [num, den] entry pairs (JSON wire form)."""
-    out = []
-    for row in rows:
-        r = []
-        for num, den in row:
-            f = Fraction(num, den)
-            r.append(int(f) if f.denominator == 1 else f)
-        out.append(tuple(r))
-    return tuple(out)
-
-
-def to_pairs(a):
-    out = []
-    for row in a:
-        r = []
-        for x in row:
-            f = Fraction(x)
-            r.append([f.numerator, f.denominator])
-        out.append(r)
-    return out
 
 
 def random_matrix(rng, n: int, lo: int = -3, hi: int = 3):

@@ -33,7 +33,6 @@ from __future__ import annotations
 
 import functools
 import math
-import re
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -462,6 +461,10 @@ class PsiDOContext:
             return sym_scale(-sign, t)
         return self._zero
 
+    def is_commuting(self) -> bool:
+        return all(self.q(i, j).is_zero_on_window()
+                   for i in range(self.n) for j in range(i + 1, self.n))
+
     def sample(self, rng):
         """Random finite symbol: few monomials with small exponents and
         integer coefficients in [-3, 3]."""
@@ -528,59 +531,3 @@ def bracket_series_check(cutoff: int, depth: int | None = None, trials: int = 5,
         ],
     }
     return run_trials("bracket_series", params, trials, seed, entries)
-
-
-# ---------------------------------------------------------------------------
-# text form
-# ---------------------------------------------------------------------------
-
-_SINGLE_RE = re.compile(r"x\^(-?\d+)\s+d\^(-?\d+)")
-_MULTI_RE = re.compile(r"([xd])(\d+)\^(-?\d+)")
-
-
-def format_symbol(a: PsiDOSymbol) -> str:
-    """Compact text form; single-variable symbols use x^i d^j, indexed
-    variables otherwise.  Deterministic term order."""
-    if not a.terms:
-        return "0"
-    parts = []
-    for (x, d), c in sorted(a.terms, key=lambda t: (t[0][1], t[0][0]), reverse=True):
-        cs = str(c)
-        if a.nvars == 1:
-            parts.append(f"{cs} x^{x[0]} d^{d[0]}")
-        else:
-            body = " ".join(
-                f"x{i + 1}^{x[i]} d{i + 1}^{d[i]}" for i in range(a.nvars)
-            )
-            parts.append(f"{cs} {body}")
-    return " + ".join(parts)
-
-
-def parse_symbol(text: str, nvars: int = 1, depth: int = 16) -> PsiDOSymbol:
-    text = text.strip()
-    if text == "0":
-        return zero_symbol(nvars, depth)
-    terms: dict = {}
-    for chunk in text.split("+"):
-        chunk = chunk.strip()
-        if not chunk:
-            continue
-        coeff_str = chunk.split()[0]
-        coeff = Fraction(coeff_str)
-        rest = chunk[len(coeff_str):]
-        if nvars == 1:
-            m = _SINGLE_RE.search(rest)
-            if not m:
-                raise ValueError(f"cannot parse term {chunk!r}")
-            key = ((int(m.group(1)),), (int(m.group(2)),))
-        else:
-            x = [0] * nvars
-            d = [0] * nvars
-            for kind, idx, exp in _MULTI_RE.findall(rest):
-                i = int(idx) - 1
-                if i < 0 or i >= nvars:
-                    raise ValueError(f"variable index out of range in {chunk!r}")
-                (x if kind == "x" else d)[i] = int(exp)
-            key = (tuple(x), tuple(d))
-        terms[key] = terms.get(key, 0) + coeff
-    return laurent_symbol(nvars, terms, depth)

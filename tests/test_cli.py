@@ -193,6 +193,28 @@ def test_psido_shallow_window_fault_is_pinned(capsys):
     assert "d-exponent (-1,) below window (0,)" in captured.err
 
 
+@pytest.mark.parametrize("check,backend,message", [
+    ("key-lemma", "psido",
+     "the inner expansion needs inner derivations; the psido context has none"),
+    ("lemma11", "psido", "lemma11 is inapplicable: derivations do not commute"),
+    ("lemma11", "matrix",
+     "lemma11 is inapplicable: derivations do not commute; pass --commuting"),
+], ids=["key-lemma-psido", "lemma11-psido", "lemma11-matrix"])
+def test_inapplicable_contexts_are_usage_errors(capsys, check, backend, message):
+    """The psido derivations are outer and do not commute, so the inner
+    expansion and the even sum do not apply there: exit 2, not a crash or a
+    failed check, and only the matrix backend is told to pass --commuting."""
+    try:
+        code = main(["verify", check, "--backend", backend, "--n", "2", "--l", "1",
+                     "--trials", "1"])
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.endswith(f"error: {message}\n")
+
+
 @pytest.mark.parametrize("argv", [
     ("verify", "lemma111", "--n", "0", "--l", "1"),
     ("verify", "lemma111", "--n", "-1", "--l", "1"),

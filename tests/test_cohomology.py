@@ -15,7 +15,7 @@ from tracelift.cohomology import (
     verify_shortening_sign,
 )
 from tracelift.context import random_matrix_context
-from tracelift.psido import bracket_series_check
+from tracelift.psido import bracket_series_check, make_psido_context
 
 
 def ctx_for(n, seed=3, commuting=False, N=3):
@@ -34,9 +34,12 @@ def test_even_sum_vanishes_commuting():
 
 
 def test_even_sum_inapplicable_without_commuting():
-    rep = verify_even_sum_vanishes(2, 1, ctx_for(2), trials=2, seed=1)
-    assert not rep.passed
-    assert "inapplicable" in rep.params
+    # the psido log derivations ln x and ln d do not commute either
+    for ctx in (ctx_for(2), make_psido_context(1, depth=12)):
+        assert not ctx.is_commuting()
+        rep = verify_even_sum_vanishes(2, 1, ctx, trials=2, seed=1)
+        assert not rep.passed
+        assert "inapplicable" in rep.params
 
 
 def test_even_sum_negative_control():

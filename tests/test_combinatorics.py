@@ -12,7 +12,6 @@ from tracelift.combinatorics import (
     enumerate_intervals,
     perm_sign,
     reduce_sequence,
-    signed_permutations,
 )
 
 
@@ -107,14 +106,6 @@ def test_circles_need_adjacent_ones():
     # ones are cyclically adjacent through the wrap only at (5,1)
     marks = [c.marks for c in enumerate_circles(r, 1)]
     assert all(len(m) == 1 for m in marks)
-
-
-def test_signed_permutations_signs():
-    got = dict(signed_permutations(3))
-    for perm, sign in got.items():
-        assert sign == perm_sign(perm)
-    assert len(got) == 6
-    assert sum(got.values()) == 0
 
 
 @settings(max_examples=30, deadline=None)

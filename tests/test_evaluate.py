@@ -19,12 +19,40 @@ from tracelift.cochains import (
 )
 from tracelift.combinatorics import enumerate_a_even
 from tracelift.context import random_matrix_context
-from tracelift.cohomology import sample_args
+from tracelift.cohomology import ce_differential, sample_args, verify_cocycle
 from tracelift.naive import naive_evaluate
+from tracelift.psido import make_psido_context
 
 
 def ctx_for(n, seed=3, commuting=False):
     return random_matrix_context(random.Random(seed), n, 3, commuting=commuting)
+
+
+class TermCounter:
+    """Forwards to ``ctx`` and counts the terms of its ``mul_sum`` calls."""
+
+    def __init__(self, ctx):
+        self.ctx, self.terms = ctx, 0
+
+    def mul_sum(self, terms, *rest):
+        self.terms += len(terms)
+        return self.ctx.mul_sum(terms, *rest)
+
+    def __getattr__(self, attr):
+        return getattr(self.ctx, attr)
+
+
+def test_kernel_takes_each_q_pair_once():
+    """The product terms of d(Psi_n1(4)) on 4x4 matrices and of twelve
+    d(Psi_n1(2)) trials on depth-12 psido symbols, a Q slot taking each
+    derivation pair in ascending order only (both orders, halved, would
+    take 20,220 and 1,728)."""
+    ctx = TermCounter(random_matrix_context(random.Random(0), 4, 4))
+    assert ce_differential(build_Psi_n1(4), ctx, sample_args(ctx, 6, random.Random(1))) == 0
+    assert ctx.terms == 15_000
+    ctx = TermCounter(make_psido_context(1, depth=12))
+    assert verify_cocycle(build_Psi_n1(2), ctx, trials=12, seed=0).passed
+    assert ctx.terms == 1_296
 
 
 def test_evaluate_is_antisymmetric_in_arguments():

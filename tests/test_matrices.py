@@ -37,13 +37,6 @@ def test_scale_distributes():
     assert lhs == rhs
 
 
-def test_pairs_roundtrip():
-    a = tuple(
-        tuple(Fraction(i - j, 1 + i + j) for j in range(3)) for i in range(3)
-    )
-    assert mat.from_pairs(mat.to_pairs(a)) == a
-
-
 def test_random_matrix_entry_range():
     rng = random.Random(0)
     a = mat.random_matrix(rng, 4)

@@ -47,7 +47,7 @@ from tracelift.cochains import (
     split_adjacency,
 )
 from tracelift.cohomology import ce_differential, sample_args
-from tracelift.combinatorics import signed_permutations
+from tracelift.combinatorics import perm_sign
 from tracelift.context import random_matrix_context
 from tracelift.freetrace import (
     _integer_gauss_jordan,
@@ -119,15 +119,18 @@ def descriptors(draw, ns=(2, 3), min_arity=1, max_arity=4, max_words=3):
 
 
 # Words whose first-slot sums the kernel folds into the next products, each
-# nonzero at seed 1 in both properties below: a Q-fused first slot (both
-# orders of its two derivations reach one state), a one-slot word (its
-# trace taken directly) and a two-slot word (the first slot's sum folded
-# into the trace_mul of the last).
+# nonzero at seed 1 in both properties below: a Q-fused first slot, a
+# one-slot word (its trace taken directly) and a two-slot word (the first
+# slot's sum folded into the trace_mul of the last).
 _Q_FIRST = CochainDescriptor(3, 2, (
     TermWord(Fraction(1), (("q", 1, 1, 2), ("p", 2), ("p", 3))),))
 _ONE_SLOT = CochainDescriptor(1, 2, (TermWord(Fraction(-2, 3), (("q", 1, 2, 1),)),))
 _TWO_SLOTS = CochainDescriptor(2, 3, (
     TermWord(Fraction(1), (("q", 1, 1, 2), ("d", 2, 3))),))
+# Two Q slots, the first naming its pair in descending order, also nonzero
+# at seed 1 in both: the drawn descriptors have n <= 3, so one Q slot at most.
+_TWO_QS = CochainDescriptor(3, 4, (
+    TermWord(Fraction(1), (("q", 1, 3, 1), ("q", 2, 2, 4), ("p", 3))),))
 
 
 @settings(max_examples=40, deadline=None)
@@ -135,6 +138,7 @@ _TWO_SLOTS = CochainDescriptor(2, 3, (
 @example(_Q_FIRST, 1)
 @example(_ONE_SLOT, 1)
 @example(_TWO_SLOTS, 1)
+@example(_TWO_QS, 1)
 def test_evaluate_matches_naive_on_random_descriptors(desc, seed):
     ctx = random_matrix_context(random.Random(seed), desc.n, 3)
     args = sample_args(ctx, desc.arity, random.Random(seed + 1))
@@ -193,6 +197,7 @@ _INNER = expand_inner(CochainDescriptor(3, 2, (
 @example(_Q_FIRST, 1)
 @example(_ONE_SLOT, 1)
 @example(_TWO_SLOTS, 1)
+@example(_TWO_QS, 1)
 @example(ExpandedCochain(2, 2, (
     ExpandedWord(Fraction(1), (("g", 1), ("a", 1), ("g", 2), ("a", 2))),)), 1)
 def test_ce_differential_matches_per_pair_reference(cochain, seed):
@@ -659,10 +664,11 @@ def _deriv_atom_ref(d, atom):
 
 def _symbolic_expand_ref(desc):
     acc = {}
-    for tau, stau in signed_permutations(desc.n):
+    for tau in itertools.permutations(range(desc.n)):
+        stau = perm_sign(tau)
         for w in desc.words:
-            for sigma, ssig in signed_permutations(desc.arity):
-                atoms, coeff = [], w.coeff * stau * ssig
+            for sigma in itertools.permutations(range(desc.arity)):
+                atoms, coeff = [], w.coeff * stau * perm_sign(sigma)
                 for slot in w.slots:
                     a_idx = sigma[slot[1] - 1] + 1
                     if slot[0] == "p":
@@ -693,9 +699,11 @@ def _symbolic_differential_ref(desc):
         rest = [w for w in range(1, k + 2) if w not in (u, v)]
         elements = [[(Fraction(1), (arg(u), arg(v))), (Fraction(-1), (arg(v), arg(u)))]]
         elements += [[(Fraction(1), (arg(w),))] for w in rest]
-        for tau, stau in signed_permutations(desc.n):
+        for tau in itertools.permutations(range(desc.n)):
+            stau = perm_sign(tau)
             for w in desc.words:
-                for sigma, ssig in signed_permutations(k):
+                for sigma in itertools.permutations(range(k)):
+                    ssig = perm_sign(sigma)
                     prod = [(w.coeff, ())]
                     for slot in w.slots:
                         elem = elements[sigma[slot[1] - 1]]

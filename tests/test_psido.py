@@ -19,11 +19,9 @@ from tracelift.psido import (
     bracket_series_check,
     bracket_series_symbol,
     compose,
-    format_symbol,
     laurent_symbol,
     make_psido_context,
     monomial,
-    parse_symbol,
     residue_trace,
     sym_add,
     sym_sub,
@@ -146,27 +144,6 @@ def test_q_nonzero_only_for_matching_pair():
     assert ctx.q(0, 1).is_zero_on_window()
     assert ctx.q(2, 3).is_zero_on_window()
     assert sym_add(ctx.q(0, 2), ctx.q(2, 0)).is_zero_on_window()
-
-
-def test_format_parse_roundtrip_single_var():
-    s = laurent_symbol(
-        1, {((1,), (-1,)): Fraction(3, 2), ((-2,), (0,)): Fraction(-1)}, D
-    )
-    text = format_symbol(s)
-    back = parse_symbol(text, nvars=1, depth=D)
-    assert back.terms == s.terms
-
-
-def test_format_parse_roundtrip_two_vars():
-    s = laurent_symbol(
-        2, {((1, -1), (0, 2)): Fraction(5), ((0, 0), (-1, -1)): Fraction(1, 3)}, D
-    )
-    back = parse_symbol(format_symbol(s), nvars=2, depth=D)
-    assert back.terms == s.terms
-
-
-def test_parse_zero():
-    assert parse_symbol("0", 1, D).is_zero_on_window()
 
 
 @pytest.mark.parametrize("b", [-5, -2, -1, 0, 3])
