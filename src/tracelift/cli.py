@@ -1,8 +1,9 @@
 """Command-line front end: enumeration, descriptor export, verification runs.
 
 Exit codes: 0 pass, 1 a verification check failed, 2 usage error,
-3 I/O error.  Reports are JSON by default and byte-identical for
-identical arguments (timing is excluded).
+3 I/O error, 4 internal error (any other exception; its traceback goes to
+stderr).  Reports are JSON by default and byte-identical for identical
+arguments (timing is excluded).
 """
 
 from __future__ import annotations
@@ -11,6 +12,7 @@ import argparse
 import json
 import random
 import sys
+import traceback
 
 from .cochains import (
     build_Psi0,
@@ -226,6 +228,10 @@ def main(argv=None) -> int:
         return handlers[args.subcommand](args)
     except (ValueError, InsufficientWindowError) as exc:
         parser.error(str(exc))
+    # anything else is a crash, which must not read as a failed check
+    except Exception:
+        traceback.print_exc()
+        return 4
 
 
 if __name__ == "__main__":

@@ -37,8 +37,19 @@ prefix is computed once for all of them (a Q correction is the lead word
 with adjacent derivation slots fused, and the inner expansion doubles the
 words at each derivation slot, so prefixes are long).  Each word's
 coefficient, with its derivation-order sign, is applied at its leaf, and
-words with equal signatures are traced once.  A window fault is the one
-the words summed one by one raise.
+words with equal signatures are traced once.
+
+Before the walk, a cochain's words are collapsed to their
+alternation-orbit classes (``words.orbit_class``): the trace is cyclic, so
+the alternated value of a word depends only on its class under relabelling
+and rotation, up to a sign.  A word whose class is 0 is dropped, and the
+first word of each class stands for the others with the signed sum of
+their coefficients.  The word kept is a word of the cochain, never the
+class's canonical rotation, so its windows, demand floors and costs are
+those of a real word.  A window fault is therefore the first faulting kept
+word's; a dropped word cannot fault, and where it would have, the value
+returned is exact, since the kept word's trace is exact on its window and
+cyclicity holds on exact symbols.
 
 On a graded backend (``ctx.order`` not ``None``: psido symbols, graded by
 d-order) a state is computed only as far as the trace can read it.  Each
@@ -82,6 +93,7 @@ from .combinatorics import (
     reduce_sequence,
 )
 from .context import InsufficientWindowError
+from .words import orbit_class, qatom
 
 
 def plain(i: int):
@@ -482,7 +494,9 @@ def _alternate(words, ctx, args, nd: int, differential: bool = False):
 
     On a windowed backend a sum keeps the shallowest window of its terms, so
     the fused trace faults exactly when the trace of some single path would;
-    the fault raised is that of the first faulting word in ``words``.  On a
+    the fault raised is that of the first faulting word in ``words``.
+    ``kernel_words`` passes one word per orbit class, so a word it dropped
+    cannot fault (module docstring).  On a
     graded backend each ``mul_sum`` gets the demand floor ``rest`` of the
     module docstring: per variable, the sum over the later slots of the
     largest ``ctx.order`` of the factors each can take, read through the
@@ -623,9 +637,56 @@ def _alternate(words, ctx, args, nd: int, differential: bool = False):
     return total
 
 
+def _atoms(slots):
+    """The free-trace atoms (``tracelift.words``) of a word's slots and the
+    sign that its Q letters take from ``qatom``: a plain or argument letter
+    is ('a', i), a derived slot ('f', ds, i), a Q slot ('a', i) followed by
+    its Q letter, and a generator letter stays ('g', ds)."""
+    atoms, sign = [], 1
+    for s in slots:
+        kind = s[0]
+        if kind == "d":
+            atoms.append(("f", s[2], s[1]))
+        elif kind == "g":
+            atoms.append(s)
+        else:
+            atoms.append(("a", s[1]))
+            if kind == "q":
+                q, qsign = qatom(s[2], s[3])
+                atoms.append(q)
+                sign *= qsign
+    return tuple(atoms), sign
+
+
+def _class_words(words) -> list:
+    """One (coeff, slots) word per alternation-orbit class of ``words``.
+
+    The trace is cyclic, so Alt(w) = sign_w Alt(class) (``orbit_class``).
+    A word whose class is 0 is dropped; the first word of each class, in
+    the given order, stands for it, with the sum over the class's words of
+    coeff times sign_w times its own sign; a class whose sum is 0 is
+    dropped.  The words kept are words of the cochain, so their windows,
+    demand floors and costs are those of real words.
+    """
+    reps = {}  # class -> [coeff, slots, sign of the first word]
+    for coeff, slots in words:
+        atoms, qsign = _atoms(slots)
+        cls, sign, _ = orbit_class(atoms)
+        if not sign:
+            continue
+        sign *= qsign
+        rep = reps.get(cls)
+        if rep is None:
+            reps[cls] = [coeff, slots, sign]
+        else:
+            rep[0] += coeff * sign * rep[2]
+    return [(coeff, slots) for coeff, slots, _ in reps.values() if coeff]
+
+
 def kernel_words(cochain, ctx) -> list:
     """The (coeff, slots) words of a descriptor or an inner-expanded
-    cochain, validated for evaluation on ``ctx``."""
+    cochain, validated for evaluation on ``ctx`` and collapsed to one word
+    per alternation-orbit class (``_class_words``)."""
     if isinstance(cochain, ExpandedCochain):
         words = [(w.coeff, w.letters) for w in cochain.words]
     else:
@@ -639,7 +700,9 @@ def kernel_words(cochain, ctx) -> list:
         words = [(w.coeff, w.slots) for w in cochain.words]
     for _, slots in words:
         _check_ascending_args(slots, cochain.arity)
-    return words
+    for _, slots in words:
+        _check_derivation_slots(slots, cochain.n)
+    return _class_words(words)
 
 
 def evaluate(d, ctx, args):

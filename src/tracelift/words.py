@@ -7,11 +7,13 @@ Atoms (the letters of a word) are plain tuples tagged by kind:
     ('s', d, e, i)  the second-order letter D_d D_e A_i, pair {d, e} unordered
                     (encodes commuting derivations)
     ('q', d, e)     the letter Q_{d,e}, canonicalized to d < e
+    ('g', d)        the generator letter of an inner derivation D_d (one
+                    derivation label, no argument)
 
 The trace property Tr(ab) = Tr(ba) is encoded structurally: a word inside
 a trace is identified with all its rotations, and ``canonicalize_cyclic``
 picks the lexicographically minimal rotation under a fixed total order on
-atoms (kind rank 'a' < 'f' < 's' < 'q', then indices).
+atoms (kind rank 'a' < 'f' < 's' < 'q' < 'g', then indices).
 
 Alternation over arguments and derivations (S_m x S_n, with signs) is
 encoded the same way: ``orbit_class`` maps a word to the minimal rotation
@@ -24,7 +26,7 @@ import functools
 
 from .combinatorics import perm_sign
 
-_KIND_RANK = {"a": 0, "f": 1, "s": 2, "q": 3}
+_KIND_RANK = {"a": 0, "f": 1, "s": 2, "q": 3, "g": 4}
 
 
 def arg(i: int):
@@ -82,7 +84,7 @@ def atom_labels(atom):
     kind = atom[0]
     if kind == "a":
         return (), atom[1:]
-    if kind == "q":
+    if kind in ("q", "g"):
         return atom[1:], ()
     return atom[1:-1], atom[-1:]
 

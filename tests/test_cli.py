@@ -1,8 +1,9 @@
+import hashlib
 import json
 
 import pytest
 
-from tracelift.cli import main
+from tracelift.cli import RUNNERS, main
 
 
 def run_cli(capsys, *argv):
@@ -233,3 +234,44 @@ def test_bad_n_or_l_names_the_parameters(capsys, argv):
     assert code == 2
     assert captured.out == ""
     assert captured.err.endswith("error: n >= 1 and l >= 1 required\n")
+
+
+@pytest.mark.parametrize("error,code", [(RuntimeError, 4), (ValueError, 2)],
+                         ids=["crash", "usage"])
+def test_a_crash_exits_4_not_as_a_failed_check(capsys, monkeypatch, error, code):
+    """An unexpected exception is an internal error (exit 4, traceback on
+    stderr), never exit 1; a ``ValueError`` stays a usage error."""
+    def broken(args):
+        raise error("broken runner")
+
+    monkeypatch.setitem(RUNNERS, "thm21", broken)
+    try:
+        got = main(["verify", "thm21", "--trials", "1"])
+    except SystemExit as exc:
+        got = exc.code
+    captured = capsys.readouterr()
+    assert got == code
+    assert captured.out == ""
+    assert "broken runner" in captured.err
+    assert ("Traceback" in captured.err) == (code == 4)
+
+
+@pytest.mark.parametrize("window,code,pinned", [
+    ("7", 0, "5de87a678a569f036520a83abde2f8cb4e9d8b382d797082ddecfac21335533c"),
+    ("6", 2, "error: d-exponent (-1,) below window (0,)\n"),
+], ids=["window7-pass", "window6-fault"])
+def test_psido_psi_nl_collapsed_to_classes_is_pinned(capsys, window, code, pinned):
+    """Psi_nl(2,2) on psido symbols: the kernel walks 3 of its 5 words, one
+    per orbit class, and the report (the SHA-256 of stdout) or the window
+    fault is the one every word walked gives."""
+    try:
+        got = main(["verify", "thm23", "--backend", "psido", "--n", "2", "--l", "2",
+                    "--window", window])
+    except SystemExit as exc:
+        got = exc.code
+    captured = capsys.readouterr()
+    assert got == code
+    if code == 0:
+        assert hashlib.sha256(captured.out.encode()).hexdigest() == pinned
+    else:
+        assert captured.out == "" and captured.err.endswith(pinned)

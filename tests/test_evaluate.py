@@ -1,25 +1,34 @@
 import random
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
+from tracelift import cochains
 from tracelift.cochains import (
     CochainDescriptor,
     TermWord,
     build_Psi0,
     build_Psi_n1,
+    build_Psi_nl,
     build_S,
     build_S_even,
     build_S_tilde,
     deriv,
     evaluate,
     expand_inner,
+    kernel_words,
     plain,
     split_adjacency,
 )
 from tracelift.combinatorics import enumerate_a_even
 from tracelift.context import random_matrix_context
-from tracelift.cohomology import ce_differential, sample_args, verify_cocycle
+from tracelift.cohomology import (
+    ce_differential,
+    sample_args,
+    verify_cocycle,
+    verify_inner_tilde_cocycle,
+)
 from tracelift.naive import naive_evaluate
 from tracelift.psido import make_psido_context
 
@@ -29,12 +38,13 @@ def ctx_for(n, seed=3, commuting=False):
 
 
 class TermCounter:
-    """Forwards to ``ctx`` and counts the terms of its ``mul_sum`` calls."""
+    """Forwards to ``ctx`` and counts its ``mul_sum`` calls and their terms."""
 
     def __init__(self, ctx):
-        self.ctx, self.terms = ctx, 0
+        self.ctx, self.calls, self.terms = ctx, 0, 0
 
     def mul_sum(self, terms, *rest):
+        self.calls += 1
         self.terms += len(terms)
         return self.ctx.mul_sum(terms, *rest)
 
@@ -53,6 +63,54 @@ def test_kernel_takes_each_q_pair_once():
     ctx = TermCounter(make_psido_context(1, depth=12))
     assert verify_cocycle(build_Psi_n1(2), ctx, trials=12, seed=0).passed
     assert ctx.terms == 1_296
+
+
+def test_kernel_walks_one_word_per_orbit_class():
+    """The words the kernel keeps: Psi_nl(2,2), the inner expansion of
+    Psi0(2,2) and its two adjacency parts collapse; each Psi_n1(n) word is a
+    class of its own and stays as written."""
+    ctx = SimpleNamespace(n=2)
+    inner = expand_inner(build_Psi0(2, 2))
+    counts = [(len(c.words), len(kernel_words(c, ctx)))
+              for c in (build_Psi_nl(2, 2), inner, *split_adjacency(inner))]
+    assert counts == [(5, 3), (12, 3), (10, 2), (2, 1)]
+    for n in range(2, 8):
+        psi = build_Psi_n1(n)
+        assert kernel_words(psi, SimpleNamespace(n=n)) == [
+            (w.coeff, w.slots) for w in psi.words]
+
+
+def test_one_matrix_circle_operation_takes_fewer_products(monkeypatch):
+    """A Psi_nl(2,2) trial and an inner-split trial (n = l = 2) on 3x3
+    matrices, the operation of the benchmark's matrix-circle workload:
+    9,252 product terms with one word per class, 16,016 with every word."""
+    counts = []
+    for collapse in (True, False):
+        if not collapse:
+            monkeypatch.setattr(cochains, "_class_words", list)
+        ctx = TermCounter(random_matrix_context(random.Random(0), 2, 3))
+        assert verify_cocycle(build_Psi_nl(2, 2), ctx, trials=1, seed=0).passed
+        assert verify_inner_tilde_cocycle(2, 2, ctx, trials=1, seed=0).passed
+        counts.append(ctx.terms)
+    assert counts == [9_252, 16_016]
+
+
+def test_cancelling_class_coefficients_take_no_product():
+    """A word and its rotation with D_2 and D_3 swapped (so its Q names the
+    pair in descending order), with coefficients that cancel in their
+    class: 0, and no ``mul_sum`` call, though each word alone is nonzero."""
+    words = (TermWord(Fraction(1), (("d", 1, 1), ("p", 2), ("q", 3, 2, 3))),
+             TermWord(Fraction(1), (("p", 1), ("q", 2, 3, 2), ("d", 3, 1))))
+    ctx = TermCounter(random_matrix_context(random.Random(1), 3, 3))
+    args = sample_args(ctx, 4, random.Random(2))
+    desc = CochainDescriptor(3, 3, words)
+    assert evaluate(desc, ctx, args[:3]) == 0
+    assert ce_differential(desc, ctx, args) == 0
+    assert ctx.calls == 0
+    for w in words:
+        alone = CochainDescriptor(3, 3, (w,))
+        assert evaluate(alone, ctx, args[:3]) != 0
+        assert ce_differential(alone, ctx, args) != 0
 
 
 def test_evaluate_is_antisymmetric_in_arguments():

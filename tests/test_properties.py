@@ -9,7 +9,10 @@ against the per-pair sum kept below as the reference, on descriptors,
 inner expansions and psido windows, with examples for the first-slot sums
 the kernel folds into its ``mul_sum`` terms; the kernel's walk over all of a
 cochain's words together against the sum over its words one by one, values
-and window faults alike; ``trace_mul`` against the trace
+and window faults alike; ``evaluate`` and ``ce_differential``, which walk one
+word per alternation-orbit class, against that per-word sum over the words
+as written and against the naive oracle, on words with twins in their class
+whose coefficients may cancel; ``trace_mul`` against the trace
 of the full product on both backends, including where the psido window is
 too shallow; ``mul_sum`` against the signed sum of single products on both
 backends, and the psido ``mul_sum`` with a demand floor against the full
@@ -38,6 +41,7 @@ from tracelift.cochains import (
     ExpandedCochain,
     ExpandedWord,
     TermWord,
+    _alternate,
     build_Psi_n1,
     build_differential,
     descriptor_from_dict,
@@ -161,14 +165,15 @@ def test_swapping_two_arguments_negates_evaluate(desc, seed, data):
     assert evaluate(desc, ctx, args) == -value
 
 
-def _ce_differential_ref(cochain, ctx, args):
-    """The per-pair differential: one evaluation per argument pair."""
+def _ce_differential_ref(cochain, ctx, args, value=evaluate):
+    """The per-pair differential: one evaluation per argument pair, by
+    ``value`` (the kernel, or the naive oracle)."""
     total = 0
     m = len(args)
     for i, j in itertools.combinations(range(m), 2):
         br = ctx.bracket(args[i], args[j])
         rest = tuple(args[k] for k in range(m) if k not in (i, j))
-        total += (-1) ** (i + j) * cochain.evaluate(ctx, (br,) + rest)
+        total += (-1) ** (i + j) * value(cochain, ctx, (br,) + rest)
     return total
 
 
@@ -186,8 +191,9 @@ def expanded_cochains(draw):
 
 # an inner expansion whose differential, and its adjacency part's, are
 # nonzero at seed 1
-_INNER = expand_inner(CochainDescriptor(3, 2, (
-    TermWord(Fraction(1), (("d", 1, 1), ("d", 2, 2), ("p", 3))),)))
+_INNER_SOURCE = CochainDescriptor(3, 2, (
+    TermWord(Fraction(1), (("d", 1, 1), ("d", 2, 2), ("p", 3))),))
+_INNER = expand_inner(_INNER_SOURCE)
 
 
 @settings(max_examples=40, deadline=None)
@@ -257,17 +263,31 @@ def _outcome(fn):
         return f"fault: {exc}"
 
 
+def _raw_words(cochain):
+    """The (coeff, slots) words of ``cochain`` as written, one per word."""
+    expanded = isinstance(cochain, ExpandedCochain)
+    return [(w.coeff, w.letters if expanded else w.slots) for w in cochain.words]
+
+
 def _kernel_outcomes(cochain, ctx, args, one_by_one=False):
-    """The value or fault of the kernel's evaluation (``evaluate`` or
-    ``evaluate_expanded``) at the first arity ``args`` and of its
-    differential at all of them; with ``one_by_one``, the reference: each
-    summed over the cochain's words taken as cochains of their own."""
-    kernels = (lambda c: c.evaluate(ctx, args[:-1]),
-               lambda c: ce_differential(c, ctx, args))
-    if not one_by_one:
-        return [_outcome(lambda: kernel(cochain)) for kernel in kernels]
-    parts = [dataclasses.replace(cochain, words=(w,)) for w in cochain.words]
-    return [_outcome(lambda: sum(kernel(c) for c in parts)) for kernel in kernels]
+    """The value or fault of the kernel's walk (``_alternate``) over the
+    words of ``cochain`` as written, not collapsed to orbit classes, at the
+    first arity ``args`` and as a differential at all of them; with
+    ``one_by_one``, the reference: each summed over the words walked
+    alone."""
+    words = _raw_words(cochain)
+    groups = [[w] for w in words] if one_by_one else [words]
+    return [_outcome(lambda: sum(_alternate(g, ctx, a, cochain.n, differential)
+                                 for g in groups))
+            for a, differential in ((args[:-1], False), (args, True))]
+
+
+def _public_outcomes(cochain, ctx, args):
+    """The value or fault of ``evaluate`` at the first arity ``args`` and of
+    ``ce_differential`` at all of them: the words collapsed to one per
+    alternation-orbit class, then walked."""
+    return [_outcome(lambda: evaluate(cochain, ctx, args[:-1])),
+            _outcome(lambda: ce_differential(cochain, ctx, args))]
 
 
 def _residue_symbols(rng, nvars, depth, count):
@@ -325,7 +345,7 @@ _REST_APART = CochainDescriptor(4, 2, (
 @example((_LAST_ARG_APART, 0, None, 1))
 @example((_REST_APART, 1, 4, 0))
 def test_walk_equals_the_sum_over_single_words(case):
-    """Walking a cochain's words together gives the sum of the kernel's
+    """Walking a cochain's words together gives the sum of the walk's
     values on each word alone, and the same window fault where one
     faults."""
     cochain, nvars, depth, seed = case
@@ -348,7 +368,8 @@ def test_window_faults_follow_the_word_order(depth):
     in the other order fault on the same trials, with the same message, as
     the sum over single words, which raises the first faulting word's
     fault.  At windows 0 and 1 both words fault on some trials, with
-    different messages."""
+    different messages.  The two words lie in different orbit classes, so
+    ``evaluate`` and ``ce_differential`` walk both and fault alike."""
     ctx = make_psido_context(1, depth)
     psi = build_Psi_n1(2)
     flipped = dataclasses.replace(psi, words=psi.words[::-1])
@@ -358,6 +379,7 @@ def test_window_faults_follow_the_word_order(depth):
         for cochain in (psi, flipped):
             together = _kernel_outcomes(cochain, ctx, args)
             assert together == _kernel_outcomes(cochain, ctx, args, one_by_one=True)
+            assert together == _public_outcomes(cochain, ctx, args)
             faults += sum(isinstance(v, str) for v in together)
         singles = [_kernel_outcomes(dataclasses.replace(psi, words=(w,)), ctx, args)
                    for w in psi.words]
@@ -365,6 +387,108 @@ def test_window_faults_follow_the_word_order(depth):
                          for a, b in zip(*singles))
     assert faults > 0
     assert (differing > 0) == (depth < 2)
+
+
+def _twin(w, rotation, rho):
+    """``w`` rotated left by ``rotation`` slots, its derivation labels
+    renamed by ``rho`` (label d becomes rho[d - 1]) and its argument labels
+    renumbered to slot order, with the sign of the relabelling: the
+    trace is cyclic, so Alt(twin) = sign * Alt(w)."""
+    rotated = w.slots[rotation:] + w.slots[:rotation]
+    slots = tuple((s[0], pos, *(rho[d - 1] for d in s[2:]))
+                  for pos, s in enumerate(rotated, start=1))
+    return slots, perm_sign([s[1] for s in rotated]) * perm_sign(rho)
+
+
+@st.composite
+def twinned_descriptors(draw, ns=(2, 3), q=True):
+    """Descriptors some of whose words have a twin in their orbit class
+    (``_twin``), placed anywhere, whose coefficient cancels the word's or
+    is drawn.  Q slots name their pairs in either order."""
+    n = draw(st.sampled_from(ns))
+    arity = draw(st.integers(n - n // 2 if q else n, 4))
+    ws = draw(st.lists(words(n, arity, q), min_size=1, max_size=3))
+    out = list(ws)
+    for w in ws:
+        if draw(st.booleans()):
+            slots, sign = _twin(w, draw(st.integers(0, arity - 1)),
+                                draw(st.permutations(range(1, n + 1))))
+            coeff = -sign * w.coeff if draw(st.booleans()) else draw(coefficients)
+            out.insert(draw(st.integers(0, len(out))), TermWord(coeff, slots))
+    return CochainDescriptor(arity=arity, n=n, words=tuple(out))
+
+
+@st.composite
+def reduction_cases(draw):
+    """(cochain, a descriptor of the same values for the naive oracle or
+    None, psido window or None for matrices, seed).  Matrices take twinned
+    descriptors, their inner expansions and the parts of their adjacency
+    split; one-variable psido symbols take twinned descriptors with n = 2
+    at windows 0-6."""
+    if draw(st.booleans()):
+        desc = draw(twinned_descriptors(ns=(2,)))
+        return desc, desc, draw(st.integers(0, 6)), draw(st.integers(0, 10**6))
+    if draw(st.booleans()):
+        desc = draw(twinned_descriptors())
+        return desc, desc, None, draw(st.integers(0, 10**6))
+    desc = draw(twinned_descriptors(q=False))
+    inner = expand_inner(desc)
+    part = draw(st.sampled_from([None, 0, 1]))
+    if part is None:
+        return inner, desc, None, draw(st.integers(0, 10**6))
+    return split_adjacency(inner)[part], None, None, draw(st.integers(0, 10**6))
+
+
+# A word and its twin rotated by one slot with D_2 and D_3 swapped, which
+# names the Q pair in descending order; their coefficients cancel in the
+# class, while each word alone is nonzero at seed 1.
+_CANCELLING = CochainDescriptor(3, 3, (
+    TermWord(Fraction(1), (("d", 1, 1), ("p", 2), ("q", 3, 2, 3))),
+    TermWord(Fraction(1), (("p", 1), ("q", 2, 3, 2), ("d", 3, 1))),
+))
+
+
+def _reduction_context(cochain, depth, seed):
+    """A context and arity + 1 arguments: 3x3 matrices, or symbols on one
+    variable at window ``depth``, drawn alike for every window."""
+    rng = random.Random(seed)
+    if depth is None:
+        ctx = random_matrix_context(rng, cochain.n, 3)
+        return ctx, sample_args(ctx, cochain.arity + 1, rng)
+    return (make_psido_context(1, depth),
+            _residue_symbols(rng, 1, depth, cochain.arity + 1))
+
+
+@settings(max_examples=60, deadline=None)
+@given(reduction_cases())
+@example((_CANCELLING, _CANCELLING, None, 1))
+@example((_TWO_QS, _TWO_QS, None, 1))
+@example((_INNER, _INNER_SOURCE, None, 1))
+def test_class_reduction_matches_the_raw_words_and_the_oracle(case):
+    """``evaluate`` and ``ce_differential``, which walk one word per orbit
+    class, equal the per-word walk over the words as written and the naive
+    oracle wherever neither faults.  Where the words as written fault, the
+    reduced kernel faults too or returns the exact value, the one a window
+    deep enough for every word gives: a dropped word cannot fault."""
+    cochain, source, depth, seed = case
+    ctx, args = _reduction_context(cochain, depth, seed)
+    reduced = _public_outcomes(cochain, ctx, args)
+    raw = _kernel_outcomes(cochain, ctx, args, one_by_one=True)
+    oracle = [None, None]
+    if source is not None:
+        oracle = [_outcome(lambda: naive_evaluate(source, ctx, args[:-1])),
+                  _outcome(lambda: _ce_differential_ref(source, ctx, args, naive_evaluate))]
+    exact = None
+    for k, (got, want, naive) in enumerate(zip(reduced, raw, oracle)):
+        event("fault" if isinstance(got, str) else "nonzero" if got else "zero")
+        if isinstance(want, str):
+            if not isinstance(got, str):
+                exact = exact or _public_outcomes(cochain, *_reduction_context(cochain, 12, seed))
+                assert got == exact[k]
+            continue
+        assert got == want
+        if naive is not None and not isinstance(naive, str):
+            assert got == naive
 
 
 @st.composite

@@ -8,6 +8,7 @@ from tracelift.freetrace import free_trace_combine
 from tracelift.words import (
     arg,
     atom_key,
+    atom_labels,
     canonicalize_cyclic,
     combine_maps,
     first_order,
@@ -136,3 +137,47 @@ def test_orbit_class_q_letter_carries_its_sign():
 def test_orbit_class_refuses_a_repeated_label():
     with pytest.raises(ValueError, match="twice"):
         orbit_class((arg(1), first_order(1, 1)))
+
+
+def gen(d):
+    """The generator letter of the inner derivation D_d."""
+    return ("g", d)
+
+
+def test_generator_letter_has_one_derivation_label_and_ranks_last():
+    assert atom_labels(gen(3)) == ((3,), ())
+    assert atom_key(gen(1)) > atom_key(qatom(1, 2)[0])
+
+
+def test_orbit_class_of_a_generator_word_is_rotation_invariant():
+    w = (gen(1), arg(1), first_order(2, 2), arg(3))
+    cls, sign, stabilizer = orbit_class(w)
+    assert cls == (arg(1), first_order(1, 2), arg(3), gen(2))
+    assert (sign, stabilizer) == (-1, 1)
+    for k in range(len(w)):
+        assert orbit_class(w[k:] + w[:k]) == (cls, sign, stabilizer)
+
+
+def test_orbit_class_signs_a_generator_relabelling():
+    cls, sign, _ = orbit_class((gen(1), arg(1), arg(2)))
+    # the transposition of A_1 and A_2 is odd
+    assert orbit_class((gen(1), arg(2), arg(1))) == (cls, -sign, 1)
+    # so is the one of D_1 and D_2, which moves the generator's label too
+    cls, sign, _ = orbit_class((gen(1), arg(1), first_order(2, 2)))
+    assert orbit_class((gen(2), arg(1), first_order(1, 2))) == (cls, -sign, 1)
+
+
+def test_orbit_class_of_two_adjacent_generator_letters():
+    w = (gen(1), gen(2), arg(1))
+    assert orbit_class(w) == ((arg(1), gen(1), gen(2)), 1, 1)
+    assert orbit_class((gen(2), gen(1), arg(1))) == ((arg(1), gen(1), gen(2)), -1, 1)
+
+
+def test_orbit_class_of_generator_rotations_that_disagree_in_sign_is_zero():
+    # Tr(G_1 G_2) - Tr(G_2 G_1) = 0: the rotation by one is the odd (12)
+    assert orbit_class((gen(1), gen(2))) == (None, 0, 0)
+    # rotating by three: (13)(24) on the derivations is even, (12) odd
+    w = (gen(1), gen(2), arg(1), gen(3), gen(4), arg(2))
+    assert orbit_class(w) == (None, 0, 0)
+    # A_1 G_1 A_2 G_2: rotating by two swaps both label pairs, an even change
+    assert orbit_class((arg(1), gen(1), arg(2), gen(2)))[1:] == (1, 2)
