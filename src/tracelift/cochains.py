@@ -29,15 +29,15 @@ context's ``trace_mul``.  A word costs about one product term per reachable
 state and choice instead of one product per permutation.
 
 A slot's step reads only its signature: the slot kind, its number of
-derivation slots, whether it is the word's last argument slot, and the
-demand floor ``rest`` below; labels and derivation indices enter only the
-word's sign.  So a cochain's words are walked together, depth first over
-the prefix tree of their signature sequences, and a state after a common
-prefix is computed once for all of them (a Q correction is the lead word
-with adjacent derivation slots fused, and the inner expansion doubles the
-words at each derivation slot, so prefixes are long).  Each word's
-coefficient, with its derivation-order sign, is applied at its leaf, and
-words with equal signatures are traced once.
+derivation slots and the demand floor ``rest`` below; labels and
+derivation indices enter only the word's sign.  So a cochain's words are
+walked together, depth first over the prefix tree of their signature
+sequences, and a state after a common prefix is computed once for all of
+them (a Q correction is the lead word with adjacent derivation slots fused,
+and the inner expansion doubles the words at each derivation slot, so
+prefixes are long).  Each word's coefficient, with its derivation-order
+sign, is applied at its leaf, and words with equal signatures are traced
+once.
 
 Before the walk, a cochain's words are collapsed to their
 alternation-orbit classes (``words.orbit_class``): the trace is cyclic, so
@@ -62,21 +62,17 @@ x^-1 d^-1.  The kernel passes ``rest`` to ``mul_sum``, which drops such
 terms.  The windows stay those of the full products, so a fault is raised
 exactly where it was without the truncation.
 
-The same kernel computes the Chevalley-Eilenberg differential in one pass
-over the k + 1 arguments: an argument slot may also take the bracket
-[A_u, A_v] of two unused arguments u < v, at most once per path, and the last
-argument slot takes only what completes the argument mask.  A single
-argument keeps the sign rule above.  A bracket step's parity is 1 plus the
-argument slots walked plus the used arguments greater than u plus those
-greater than v: over a path this gives (-1)^(u+v) times the sign of the
-k-argument permutation that puts the bracket first, as in the
-differential's formula.  The constant 1 goes into the word's coefficient,
-and arguments, brackets and their derivatives share one factor memo.
+The Chevalley-Eilenberg differential is not a mode of the kernel:
+``build_differential`` states d(psi) as a descriptor of arity k + 1, whose
+words collapse to few orbit classes (d(Psi_n1(n)) has 8, 17, 35, 68, 129
+and 239 words for n = 2..7, but 2, 3, 5, 8, 13 and 21 classes), and the
+kernel evaluates that descriptor like any other.  A window fault of the
+differential is thus the first faulting kept word of that descriptor.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import combinations
 from operator import add
@@ -319,28 +315,33 @@ def build_Psi_nl(n: int, l: int) -> CochainDescriptor:
 # differential
 # ---------------------------------------------------------------------------
 
-def build_differential(d: CochainDescriptor) -> CochainDescriptor:
-    """d(``d``) as a descriptor of arity k + 1: each word once per argument
-    slot i, with sign (-1)^i, the slot taking the product A_i A_{i+1} and
-    later labels shifting up by one (a derived slot splits by Leibniz, a Q
-    stays on the right).  It evaluates to ``ce_differential(d)``, which
-    costs fewer products."""
+def build_differential(d):
+    """d(``d``) as a descriptor (or inner-expanded cochain) of arity k + 1:
+    each word once per argument slot i, with sign (-1)^i, the slot taking
+    the product A_i A_{i+1} and later argument labels shifting up by one (a
+    derived slot splits by Leibniz, a Q stays on the right, a generator
+    letter keeps its label).  ``ce_differential`` evaluates it."""
+    field = "letters" if isinstance(d, ExpandedCochain) else "slots"
     words = []
     for w in d.words:
-        if w.outer_dslot is not None:
+        slots = getattr(w, field)
+        if getattr(w, "outer_dslot", None) is not None:
             raise ValueError("wrapped words have no differential here")
-        for pos, (kind, i, *ds) in enumerate(w.slots):
-            if kind == "p":
-                splits = [(plain(i), plain(i + 1))]
+        for pos, (kind, i, *ds) in enumerate(slots):
+            if kind == "g":
+                continue
+            if kind in "pa":
+                splits = [((kind, i), (kind, i + 1))]
             elif kind == "d":
                 splits = [(deriv(i, *ds), plain(i + 1)), (plain(i), deriv(i + 1, *ds))]
             else:
                 splits = [(plain(i), qfused(i + 1, *ds))]
-            tail = tuple((s[0], s[1] + 1, *s[2:]) for s in w.slots[pos + 1:])
+            tail = tuple(s if s[0] == "g" else (s[0], s[1] + 1, *s[2:])
+                         for s in slots[pos + 1:])
             coeff = -w.coeff if i % 2 else w.coeff
-            words += [TermWord(coeff, w.slots[:pos] + pair + tail, label=w.label)
+            words += [replace(w, coeff=coeff, **{field: slots[:pos] + pair + tail})
                       for pair in splits]
-    return CochainDescriptor(arity=d.arity + 1, n=d.n, words=tuple(words))
+    return replace(d, arity=d.arity + 1, words=tuple(words))
 
 
 # ---------------------------------------------------------------------------
@@ -433,28 +434,20 @@ def _check_ascending_args(slots, arity: int):
         raise ValueError(f"argument labels must be 1..{arity} in order: {labels}")
 
 
-def _choices(takes_arg: bool, nder: int, nargs: int, nd: int, pairs) -> tuple:
-    """The choices a slot can take, as (element, derivations, bits, gt).
+def _choices(takes_arg: bool, nder: int, nargs: int, nd: int) -> list:
+    """The choices a slot can take, as (argument, derivations, bits, gt).
 
-    Elements 0..nargs-1 are the arguments and ``nargs + p`` is the bracket
-    of ``pairs[p]``; element -1 stands for a slot that takes no argument.
-    ``bits`` marks what a choice uses in a state mask (arguments from bit 0,
-    derivations from bit ``nargs``), and the step's sign is the parity of
-    ``(state & gt).bit_count()``.  A Q slot takes each derivation pair once,
-    in ascending order, so no choice has an inversion of its own.  Returns
-    the choices of a state that has taken its bracket (single arguments),
-    of one that must take it now (brackets; single arguments when there are
-    none) and of one that still may (both).
+    Argument -1 stands for a slot that takes none.  ``bits`` marks what a
+    choice uses in a state mask (arguments from bit 0, derivations from bit
+    ``nargs``), and the step's sign is the parity of
+    ``(state & gt).bit_count()``, the used elements above each choice.  A Q
+    slot takes each derivation pair once, in ascending order, so no choice
+    has an inversion of its own.
     """
     amask = (1 << nargs) - 1
     singles = [(-1, 0, 0)]
     if takes_arg:
-        # a single argument: the used arguments above it
         singles = [(a, 1 << a, amask ^ ((2 << a) - 1)) for a in range(nargs)]
-    # a bracket of u < v: the used arguments not strictly between u and v
-    brackets = [(nargs + p, (1 << u) | (1 << v), amask ^ ((1 << v) - (2 << u)))
-                for p, (u, v) in enumerate(pairs if takes_arg else ())]
-    # derivations: the used ones above each
     ders = []
     for es in combinations(range(nd), nder):
         dbits = dgt = 0
@@ -462,16 +455,11 @@ def _choices(takes_arg: bool, nder: int, nargs: int, nd: int, pairs) -> tuple:
             dbits |= 1 << e
             dgt ^= ((1 << nd) - 1) ^ ((2 << e) - 1)
         ders.append((es, dbits << nargs, dgt << nargs))
-
-    def combine(elems):
-        return [(x, es, abits | dbits, agt | dgt)
-                for x, abits, agt in elems for es, dbits, dgt in ders]
-
-    singles, forced = combine(singles), combine(brackets)
-    return singles, forced or singles, singles + forced
+    return [(x, es, abits | dbits, agt | dgt)
+            for x, abits, agt in singles for es, dbits, dgt in ders]
 
 
-def _alternate(words, ctx, args, nd: int, differential: bool = False):
+def _alternate(words, ctx, args, nd: int):
     """Sum of coeff times the double alternation of each (coeff, slots) word.
 
     The words are walked together in sorted order of their signature
@@ -485,32 +473,22 @@ def _alternate(words, ctx, args, nd: int, differential: bool = False):
     derivation pair once, in ascending order; the last slot is fused into
     ``ctx.trace_mul``.
 
-    With ``differential`` the value is d(words) at the k + 1 ``args``, with
-    bracket choices as the module docstring says: a path has taken its
-    bracket when its mask holds one argument more than the argument slots
-    walked, and the bracket step's parity (without the constant 1, which is
-    in the coefficient) is that of the used arguments not strictly between
-    u and v.
-
     On a windowed backend a sum keeps the shallowest window of its terms, so
     the fused trace faults exactly when the trace of some single path would;
     the fault raised is that of the first faulting word in ``words``.
     ``kernel_words`` passes one word per orbit class, so a word it dropped
-    cannot fault (module docstring).  On a
-    graded backend each ``mul_sum`` gets the demand floor ``rest`` of the
-    module docstring: per variable, the sum over the later slots of the
-    largest ``ctx.order`` of the factors each can take, read through the
-    factor memo.  A state truncated so holds fewer coefficients than its
-    window claims and is exact only for what the later slots and the trace
-    make of it, so no state leaves this function: states are never
-    returned and never enter the factor memo.
+    cannot fault (module docstring).  On a graded backend each ``mul_sum``
+    gets the demand floor ``rest`` of the module docstring: per variable,
+    the sum over the later slots of the largest ``ctx.order`` of the
+    factors each can take, read through the factor memo.  A state
+    truncated so holds fewer coefficients than its window claims and is
+    exact only for what the later slots and the trace make of it, so no
+    state leaves this function: states are never returned and never enter
+    the factor memo.
     """
     nargs = len(args)
-    amask = (1 << nargs) - 1
-    pairs = tuple(combinations(range(nargs), 2)) if differential else ()
-    elements = tuple(args) + tuple(ctx.bracket(args[u], args[v]) for u, v in pairs)
     choices = {
-        shape: _choices(*shape, nargs, nd, pairs)
+        shape: _choices(*shape, nargs, nd)
         for shape in ((True, 0), (True, 1), (True, 2), (False, 1))
     }
     memo = {}
@@ -521,28 +499,28 @@ def _alternate(words, ctx, args, nd: int, differential: bool = False):
         f = memo.get(key)
         if f is None:
             if kind == "d":
-                f = ctx.deriv(es[0], elements[x])
+                f = ctx.deriv(es[0], args[x])
             elif kind == "q":
                 if es not in qs:
                     qs[es] = ctx.q(*es)
-                f = ctx.mul(elements[x], qs[es])
+                f = ctx.mul(args[x], qs[es])
             elif kind == "g":
                 f = ctx.generator(es[0])
             else:
-                f = elements[x]
+                f = args[x]
             memo[key] = f
         return f
 
     # On a graded backend, the top order of each slot kind: per variable,
     # the largest order of the factors such a slot can take.
-    graded = bool(elements) and ctx.order(elements[0]) is not None
+    graded = bool(args) and ctx.order(args[0]) is not None
     tops = {}
 
     def top(slot):
         kind = slot[0]
         t = tops.get(kind)
         if t is None:
-            options = choices[kind != "g", len(_dslots(slot))][2]
+            options = choices[kind != "g", len(_dslots(slot))]
             orders = [ctx.order(factor(kind, x, es)) for x, es, *_ in options]
             t = tops[kind] = tuple(map(max, zip(*orders)))
         return t
@@ -551,9 +529,6 @@ def _alternate(words, ctx, args, nd: int, differential: bool = False):
     leaves = {}
     for index, (coeff, slots) in enumerate(words):
         order = _check_derivation_slots(slots, nd)
-        lastarg = max((p for p, s in enumerate(slots) if s[0] != "g"), default=-1)
-        if differential and lastarg < 0:
-            continue  # nothing to bracket
         # what the state after each slot passes to mul_sum after its terms:
         # on a graded backend, the orders the later slots can add
         rests = [()] * len(slots)
@@ -562,25 +537,17 @@ def _alternate(words, ctx, args, nd: int, differential: bool = False):
             for pos in range(len(slots) - 2, 0, -1):
                 rests[pos] = (rest,)
                 rest = tuple(map(add, rest, top(slots[pos])))
-        key = tuple((s[0], len(_dslots(s)), p == lastarg, rests[p])
-                    for p, s in enumerate(slots))
+        key = tuple((s[0], len(_dslots(s)), rests[p]) for p, s in enumerate(slots))
         # A word naming derivation slots out of order gets that order's sign.
-        sign = -perm_sign(order) if differential else perm_sign(order)
         leaf = leaves.setdefault(key, [0, index])
-        leaf[0] += coeff * sign
+        leaf[0] += coeff * perm_sign(order)
 
-    def moves(states, step, walked):
+    def moves(states, step):
         """Each (state, negate, summands, factor) that ``step`` takes from
-        one of ``states`` after ``walked`` argument slots."""
-        kind, nder, at_lastarg, _ = step
-        after, forced, free = choices[kind != "g", nder]
+        one of ``states``."""
+        kind, nder, _ = step
+        options = choices[kind != "g", nder]
         for st, summands in states.items():
-            if (st & amask).bit_count() > walked:
-                options = after
-            elif at_lastarg:
-                options = forced
-            else:
-                options = free
             for x, es, bits, gt in options:
                 if not st & bits:
                     neg = (st & gt).bit_count() & 1
@@ -589,22 +556,22 @@ def _alternate(words, ctx, args, nd: int, differential: bool = False):
     trace, trace_mul, mul_sum = ctx.trace, ctx.trace_mul, ctx.mul_sum
     total = 0
     fault = None  # (word index, error) of the first word whose trace faults
-    # The steps of the current path, and the (states, argument slots walked)
-    # before each of them and after the last.  A state's value is a list of
-    # (negate, element) summands: one per step into it after the first slot,
-    # and one mul_sum after later ones.
-    path, stack = [], [({0: None}, 0)]
+    # The steps of the current path, and the states before each of them and
+    # after the last.  A state's value is a list of (negate, element)
+    # summands: one per step into it after the first slot, and one mul_sum
+    # after later ones.
+    path, stack = [], [{0: None}]
     for key, (coeff, index) in sorted(leaves.items()):
         if fault is not None and fault[0] < index:
             continue
         depth = next((p for p, (a, b) in enumerate(zip(path, key)) if a != b),
                      len(path))
         del path[depth:], stack[depth + 1:]
-        states, walked = stack[-1]
+        states = stack[-1]
         for pos in range(depth, len(key) - 1):
             step = key[pos]
             nxt = {}
-            for st, neg, summands, f in moves(states, step, walked):
+            for st, neg, summands, f in moves(states, step):
                 terms = nxt.get(st)
                 if terms is None:
                     terms = nxt[st] = []
@@ -613,14 +580,14 @@ def _alternate(words, ctx, args, nd: int, differential: bool = False):
                 else:
                     terms += [(neg ^ sneg, p, f) for sneg, p in summands]
             if pos:
-                nxt = {st: [(0, mul_sum(terms, *step[3]))]
+                nxt = {st: [(0, mul_sum(terms, *step[2]))]
                        for st, terms in nxt.items()}
-            states, walked = nxt, walked + (step[0] != "g")
+            states = nxt
             path.append(step)
-            stack.append((states, walked))
+            stack.append(states)
         value = 0
         try:
-            for _, neg, summands, f in moves(states, key[-1], walked):
+            for _, neg, summands, f in moves(states, key[-1]):
                 if summands is None:
                     t = trace(f)
                     value += -t if neg else t
@@ -683,10 +650,9 @@ def _class_words(words) -> list:
     return [(coeff, slots) for coeff, slots, _ in reps.values() if coeff]
 
 
-def kernel_words(cochain, ctx) -> list:
+def checked_words(cochain, ctx) -> list:
     """The (coeff, slots) words of a descriptor or an inner-expanded
-    cochain, validated for evaluation on ``ctx`` and collapsed to one word
-    per alternation-orbit class (``_class_words``)."""
+    cochain, validated for evaluation on ``ctx``."""
     if isinstance(cochain, ExpandedCochain):
         words = [(w.coeff, w.letters) for w in cochain.words]
     else:
@@ -702,7 +668,13 @@ def kernel_words(cochain, ctx) -> list:
         _check_ascending_args(slots, cochain.arity)
     for _, slots in words:
         _check_derivation_slots(slots, cochain.n)
-    return _class_words(words)
+    return words
+
+
+def kernel_words(cochain, ctx) -> list:
+    """The words of ``cochain`` validated (``checked_words``) and collapsed
+    to one word per alternation-orbit class (``_class_words``)."""
+    return _class_words(checked_words(cochain, ctx))
 
 
 def evaluate(d, ctx, args):

@@ -7,12 +7,13 @@ The differential follows the standard trivial-coefficients convention
 
 whose overall sign is pinned by ``verify_shortening_sign`` (the matched
 sign is recorded, not assumed).  It is not a sum of one evaluation per
-pair (i, j): ``ce_differential`` runs the alternation kernel once over all
-k + 1 arguments, with an argument slot allowed to take the bracket of two
-unused arguments once per path, and the sign (-1)^(i+j) folded into that
-step's parity (see ``cochains``).  All checks are exact: a trial passes iff
-its residual is literally zero.  Every sampled check is a generator of
-trial entries that ``run_trials`` seeds, times and judges.
+pair (i, j): ``ce_differential`` evaluates ``cochains.build_differential``,
+d(psi) as a descriptor of arity k + 1 whose words (each argument slot i
+taking the product A_i A_{i+1}, with sign (-1)^i) collapse to few
+alternation-orbit classes, in one pass of the plain kernel.  All checks
+are exact: a trial passes iff its residual is literally zero.  Every
+sampled check is a generator of trial entries that ``run_trials`` seeds,
+times and judges.
 """
 
 from __future__ import annotations
@@ -30,6 +31,8 @@ from .cochains import (
     build_S,
     build_R,
     build_S_even,
+    build_differential,
+    checked_words,
     evaluate,
     expand_inner,
     kernel_words,
@@ -101,11 +104,15 @@ def sample_args(ctx, count: int, rng) -> tuple:
 
 def ce_differential(cochain, ctx, args):
     """Differential of a descriptor or an inner-expanded cochain at arity+1
-    arguments, in one kernel pass whose argument slots may take a bracket."""
+    arguments: the kernel's value of ``build_differential(cochain)``, whose
+    words collapse to few orbit classes.  ``cochain`` is validated first,
+    as ``evaluate`` validates it; a window fault is that of the first
+    faulting kept word of the differential descriptor."""
     if len(args) != cochain.arity + 1:
         raise ValueError(f"expected {cochain.arity + 1} arguments, got {len(args)}")
-    words = kernel_words(cochain, ctx)
-    return _alternate(words, ctx, args, cochain.n, differential=True)
+    checked_words(cochain, ctx)
+    words = kernel_words(build_differential(cochain), ctx)
+    return _alternate(words, ctx, args, cochain.n)
 
 
 def _term_count(cochain, diff_args: int | None = None) -> int:

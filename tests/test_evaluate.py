@@ -38,15 +38,20 @@ def ctx_for(n, seed=3, commuting=False):
 
 
 class TermCounter:
-    """Forwards to ``ctx`` and counts its ``mul_sum`` calls and their terms."""
+    """Forwards to ``ctx`` and counts its ``mul_sum`` calls and their terms,
+    and its ``bracket`` calls."""
 
     def __init__(self, ctx):
-        self.ctx, self.calls, self.terms = ctx, 0, 0
+        self.ctx, self.calls, self.terms, self.brackets = ctx, 0, 0, 0
 
     def mul_sum(self, terms, *rest):
         self.calls += 1
         self.terms += len(terms)
         return self.ctx.mul_sum(terms, *rest)
+
+    def bracket(self, a, b):
+        self.brackets += 1
+        return self.ctx.bracket(a, b)
 
     def __getattr__(self, attr):
         return getattr(self.ctx, attr)
@@ -54,15 +59,43 @@ class TermCounter:
 
 def test_kernel_takes_each_q_pair_once():
     """The product terms of d(Psi_n1(4)) on 4x4 matrices and of twelve
-    d(Psi_n1(2)) trials on depth-12 psido symbols, a Q slot taking each
-    derivation pair in ascending order only (both orders, halved, would
-    take 20,220 and 1,728)."""
+    d(Psi_n1(2)) trials on depth-12 psido symbols, the differential
+    evaluated as its class-collapsed descriptor and a Q slot taking each
+    derivation pair in ascending order only.  The one-pass kernel whose
+    argument slots took brackets formed 15,000 and 1,296 (both Q orders,
+    halved, 20,220 and 1,728)."""
     ctx = TermCounter(random_matrix_context(random.Random(0), 4, 4))
     assert ce_differential(build_Psi_n1(4), ctx, sample_args(ctx, 6, random.Random(1))) == 0
-    assert ctx.terms == 15_000
+    assert ctx.terms == 4_920
     ctx = TermCounter(make_psido_context(1, depth=12))
     assert verify_cocycle(build_Psi_n1(2), ctx, trials=12, seed=0).passed
-    assert ctx.terms == 1_296
+    assert ctx.terms == 864
+
+
+def test_ce_differential_takes_no_bracket():
+    """The differential is the kernel's value of the differential
+    descriptor, whose slots take products of arguments, never brackets:
+    no ``bracket`` call on a matrix context, for descriptors and inner
+    expansions alike."""
+    inner = expand_inner(build_Psi0(2, 2))
+    for cochain in (build_Psi_n1(3), build_Psi_nl(2, 2), inner):
+        ctx = TermCounter(random_matrix_context(random.Random(0), cochain.n, 3))
+        args = sample_args(ctx, cochain.arity + 1, random.Random(1))
+        assert ce_differential(cochain, ctx, args) == 0
+        assert ctx.terms > 0
+        assert ctx.brackets == 0
+
+
+def test_differential_descriptor_collapses_to_few_classes():
+    """d(Psi_n1(n)) has 8, 17, 35, 68, 129, 239 words for n = 2..7 but
+    2, 3, 5, 8, 13, 21 orbit classes; d(Psi_nl(4,2)) 368 words and 11
+    classes.  ``ce_differential`` walks one word per class."""
+    counts = []
+    for psi in [build_Psi_n1(n) for n in range(2, 8)] + [build_Psi_nl(4, 2)]:
+        diff = cochains.build_differential(psi)
+        counts.append((len(diff.words), len(kernel_words(diff, SimpleNamespace(n=psi.n)))))
+    assert counts == [(8, 2), (17, 3), (35, 5), (68, 8), (129, 13), (239, 21),
+                      (368, 11)]
 
 
 def test_kernel_walks_one_word_per_orbit_class():
@@ -83,7 +116,9 @@ def test_kernel_walks_one_word_per_orbit_class():
 def test_one_matrix_circle_operation_takes_fewer_products(monkeypatch):
     """A Psi_nl(2,2) trial and an inner-split trial (n = l = 2) on 3x3
     matrices, the operation of the benchmark's matrix-circle workload:
-    9,252 product terms with one word per class, 16,016 with every word."""
+    1,968 product terms with one word per class of the differential
+    descriptors, 9,744 with every word.  The one-pass kernel whose argument
+    slots took brackets formed 9,252 and 16,016."""
     counts = []
     for collapse in (True, False):
         if not collapse:
@@ -92,7 +127,7 @@ def test_one_matrix_circle_operation_takes_fewer_products(monkeypatch):
         assert verify_cocycle(build_Psi_nl(2, 2), ctx, trials=1, seed=0).passed
         assert verify_inner_tilde_cocycle(2, 2, ctx, trials=1, seed=0).passed
         counts.append(ctx.terms)
-    assert counts == [9_252, 16_016]
+    assert counts == [1_968, 9_744]
 
 
 def test_cancelling_class_coefficients_take_no_product():

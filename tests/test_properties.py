@@ -4,15 +4,17 @@
 The kernel is checked against the naive oracle on random valid descriptors
 (plain, derived and Q-fused slots, derivation slots named out of order,
 coefficients other than 1), for antisymmetry in its arguments, and for a
-lossless JSON round trip of the descriptor; its one-pass differential
-against the per-pair sum kept below as the reference, on descriptors,
-inner expansions and psido windows, with examples for the first-slot sums
-the kernel folds into its ``mul_sum`` terms; the kernel's walk over all of a
-cochain's words together against the sum over its words one by one, values
-and window faults alike; ``evaluate`` and ``ce_differential``, which walk one
-word per alternation-orbit class, against that per-word sum over the words
-as written and against the naive oracle, on words with twins in their class
-whose coefficients may cancel; ``trace_mul`` against the trace
+lossless JSON round trip of the descriptor; its differential (the
+class-collapsed differential descriptor) against the per-pair sum kept
+below as the reference, on descriptors, inner expansions and psido windows
+(where the fault is the first faulting kept word's), with examples for the
+first-slot sums the kernel folds into its ``mul_sum`` terms; the kernel's
+walk over all of a cochain's words together against the sum over its words
+one by one, values and window faults alike; ``evaluate`` and
+``ce_differential``, which walk one word per alternation-orbit class,
+against that per-word sum over the words as written and against the naive
+oracle, on words with twins in their class whose coefficients may cancel;
+``trace_mul`` against the trace
 of the full product on both backends, including where the psido window is
 too shallow; ``mul_sum`` against the signed sum of single products on both
 backends, and the psido ``mul_sum`` with a demand floor against the full
@@ -48,6 +50,7 @@ from tracelift.cochains import (
     descriptor_to_dict,
     evaluate,
     expand_inner,
+    kernel_words,
     split_adjacency,
 )
 from tracelift.cohomology import ce_differential, sample_args
@@ -212,8 +215,7 @@ def test_ce_differential_matches_per_pair_reference(cochain, seed):
     value = ce_differential(cochain, ctx, args)
     event(f"{type(cochain).__name__}: {'nonzero' if value else 'zero'}")
     assert value == _ce_differential_ref(cochain, ctx, args)
-    if isinstance(cochain, CochainDescriptor):
-        assert evaluate(build_differential(cochain), ctx, args) == value
+    assert evaluate(build_differential(cochain), ctx, args) == value
 
 
 @settings(max_examples=40, deadline=None)
@@ -270,16 +272,18 @@ def _raw_words(cochain):
 
 
 def _kernel_outcomes(cochain, ctx, args, one_by_one=False):
-    """The value or fault of the kernel's walk (``_alternate``) over the
-    words of ``cochain`` as written, not collapsed to orbit classes, at the
-    first arity ``args`` and as a differential at all of them; with
-    ``one_by_one``, the reference: each summed over the words walked
-    alone."""
-    words = _raw_words(cochain)
-    groups = [[w] for w in words] if one_by_one else [words]
-    return [_outcome(lambda: sum(_alternate(g, ctx, a, cochain.n, differential)
-                                 for g in groups))
-            for a, differential in ((args[:-1], False), (args, True))]
+    """The value or fault of the kernel's walk (``_alternate``) over words
+    as written, not collapsed to orbit classes: those of ``cochain`` at the
+    first arity ``args``, and those of its differential descriptor
+    (``build_differential``) at all of them; with ``one_by_one``, the
+    reference: each summed over the words walked alone."""
+    outcomes = []
+    for c, a in ((cochain, args[:-1]), (build_differential(cochain), args)):
+        words = _raw_words(c)
+        groups = [[w] for w in words] if one_by_one else [words]
+        outcomes.append(_outcome(lambda: sum(_alternate(g, ctx, a, cochain.n)
+                                             for g in groups)))
+    return outcomes
 
 
 def _public_outcomes(cochain, ctx, args):
@@ -322,10 +326,8 @@ def kernel_cases(draw):
 
 
 # Inner-expanded words with the common letter prefix A_1 G_1 that part
-# where the first takes its last argument letter (in the differential a
-# bracket is forced there) and the second does not; nonzero at seed 1.
-# Words of one cochain have the same number of argument letters, so a
-# common letter prefix fixes which of its letters is a last argument one.
+# where the first takes its last argument letter and the second does not;
+# nonzero at seed 1.
 _LAST_ARG_APART = ExpandedCochain(2, 2, (
     ExpandedWord(Fraction(1), (("a", 1), ("g", 1), ("a", 2), ("g", 2))),
     ExpandedWord(Fraction(-2), (("a", 1), ("g", 2), ("g", 1), ("a", 2))),
@@ -369,7 +371,9 @@ def test_window_faults_follow_the_word_order(depth):
     the sum over single words, which raises the first faulting word's
     fault.  At windows 0 and 1 both words fault on some trials, with
     different messages.  The two words lie in different orbit classes, so
-    ``evaluate`` and ``ce_differential`` walk both and fault alike."""
+    ``evaluate`` walks both and faults alike; ``ce_differential``, which
+    walks the first word of each class of the differential descriptor,
+    faults here as the walk over all of its words does."""
     ctx = make_psido_context(1, depth)
     psi = build_Psi_n1(2)
     flipped = dataclasses.replace(psi, words=psi.words[::-1])
@@ -387,6 +391,29 @@ def test_window_faults_follow_the_word_order(depth):
                          for a, b in zip(*singles))
     assert faults > 0
     assert (differing > 0) == (depth < 2)
+
+
+@pytest.mark.parametrize("depth", [0, 1, 2, 3])
+def test_differential_fault_is_the_first_faulting_kept_word(depth):
+    """On windows too shallow for the residue, ``ce_differential`` of
+    Psi_n1(2) raises the fault of the first word, in descriptor order, of
+    the class-collapsed differential descriptor (``kernel_words``) whose
+    walk alone faults, and returns a value where none faults."""
+    ctx = make_psido_context(1, depth)
+    psi = build_Psi_n1(2)
+    kept = kernel_words(build_differential(psi), ctx)
+    faults = 0
+    for seed in range(12):
+        args = sample_args(ctx, psi.arity + 1, random.Random(seed))
+        alone = [_outcome(lambda: _alternate([w], ctx, args, psi.n)) for w in kept]
+        first = next((v for v in alone if isinstance(v, str)), None)
+        got = _outcome(lambda: ce_differential(psi, ctx, args))
+        if first is None:
+            assert got == sum(alone)
+        else:
+            assert got == first
+            faults += 1
+    assert faults > 0
 
 
 def _twin(w, rotation, rho):
