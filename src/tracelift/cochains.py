@@ -49,7 +49,9 @@ class's canonical rotation, so its windows, demand floors and costs are
 those of a real word.  A window fault is therefore the first faulting kept
 word's; a dropped word cannot fault, and where it would have, the value
 returned is exact, since the kept word's trace is exact on its window and
-cyclicity holds on exact symbols.
+cyclicity holds on exact symbols.  The collapsed words are computed once
+per cochain value and kept in a bounded cache (``kernel_words``); only the
+check against the context runs on every call.
 
 On a graded backend (``ctx.order`` not ``None``: psido symbols, graded by
 d-order) a state is computed only as far as the trace can read it.  Each
@@ -72,6 +74,7 @@ differential is thus the first faulting kept word of that descriptor.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import combinations
@@ -650,16 +653,16 @@ def _class_words(words) -> list:
     return [(coeff, slots) for coeff, slots, _ in reps.values() if coeff]
 
 
-def checked_words(cochain, ctx) -> list:
+def checked_words(cochain) -> list:
     """The (coeff, slots) words of a descriptor or an inner-expanded
-    cochain, validated for evaluation on ``ctx``."""
+    cochain, validated for evaluation: no wrapped words, argument labels
+    1..arity in order, and derivation slots naming each of 1..n once.
+    These checks need no context, so ``kernel_words`` runs them once per
+    cochain value, in its bounded cache; the check against the context
+    runs on every call."""
     if isinstance(cochain, ExpandedCochain):
         words = [(w.coeff, w.letters) for w in cochain.words]
     else:
-        if ctx.n != cochain.n:
-            raise ValueError(
-                f"context has {ctx.n} derivations, descriptor needs {cochain.n}"
-            )
         for w in cochain.words:
             if w.outer_dslot is not None:
                 raise ValueError("wrapped words are symbolic-only; expand first")
@@ -671,10 +674,37 @@ def checked_words(cochain, ctx) -> list:
     return words
 
 
-def kernel_words(cochain, ctx) -> list:
-    """The words of ``cochain`` validated (``checked_words``) and collapsed
-    to one word per alternation-orbit class (``_class_words``)."""
-    return _class_words(checked_words(cochain, ctx))
+@functools.lru_cache(maxsize=64)
+def _collapsed_words(cochain, differential: bool) -> tuple:
+    """The ``_class_words`` of a validated ``cochain``, or of
+    ``build_differential(cochain)``, as a tuple no caller can change.
+
+    The key is the cochain's value: descriptors and inner-expanded cochains
+    are frozen, so one rebuilt on every call (as ``verify_inner_tilde_cocycle``
+    rebuilds its four) still hits.  The cache holds a fixed number of
+    cochains, and an invalid cochain raises on every call, since errors are
+    not cached.
+    """
+    words = checked_words(cochain)
+    if differential:
+        words = checked_words(build_differential(cochain))
+    return tuple(_class_words(words))
+
+
+def kernel_words(cochain, ctx, differential: bool = False) -> list:
+    """The words the kernel walks for ``cochain``, or with ``differential``
+    for ``build_differential(cochain)``: validated for evaluation on ``ctx``
+    and collapsed to one word per alternation-orbit class (``_class_words``).
+
+    The collapsed words are computed once per cochain value, in a bounded
+    cache (``_collapsed_words``); the check against ``ctx`` runs on every
+    call, and the list returned is a copy the caller may change.
+    """
+    if not isinstance(cochain, ExpandedCochain) and ctx.n != cochain.n:
+        raise ValueError(
+            f"context has {ctx.n} derivations, descriptor needs {cochain.n}"
+        )
+    return list(_collapsed_words(cochain, differential))
 
 
 def evaluate(d, ctx, args):

@@ -31,8 +31,6 @@ from .cochains import (
     build_S,
     build_R,
     build_S_even,
-    build_differential,
-    checked_words,
     evaluate,
     expand_inner,
     kernel_words,
@@ -107,11 +105,12 @@ def ce_differential(cochain, ctx, args):
     arguments: the kernel's value of ``build_differential(cochain)``, whose
     words collapse to few orbit classes.  ``cochain`` is validated first,
     as ``evaluate`` validates it; a window fault is that of the first
-    faulting kept word of the differential descriptor."""
+    faulting kept word of the differential descriptor.  The collapsed words
+    are computed once per cochain value, in ``kernel_words``'s bounded
+    cache, and the check against ``ctx`` runs on every call."""
     if len(args) != cochain.arity + 1:
         raise ValueError(f"expected {cochain.arity + 1} arguments, got {len(args)}")
-    checked_words(cochain, ctx)
-    words = kernel_words(build_differential(cochain), ctx)
+    words = kernel_words(cochain, ctx, differential=True)
     return _alternate(words, ctx, args, cochain.n)
 
 

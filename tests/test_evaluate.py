@@ -22,7 +22,7 @@ from tracelift.cochains import (
     split_adjacency,
 )
 from tracelift.combinatorics import enumerate_a_even
-from tracelift.context import random_matrix_context
+from tracelift.context import InsufficientWindowError, random_matrix_context
 from tracelift.cohomology import (
     ce_differential,
     sample_args,
@@ -113,21 +113,153 @@ def test_kernel_walks_one_word_per_orbit_class():
             (w.coeff, w.slots) for w in psi.words]
 
 
-def test_one_matrix_circle_operation_takes_fewer_products(monkeypatch):
-    """A Psi_nl(2,2) trial and an inner-split trial (n = l = 2) on 3x3
-    matrices, the operation of the benchmark's matrix-circle workload:
-    1,968 product terms with one word per class of the differential
-    descriptors, 9,744 with every word.  The one-pass kernel whose argument
-    slots took brackets formed 9,252 and 16,016."""
+@pytest.fixture
+def word_cache():
+    """``kernel_words``'s cache, emptied before the test and after it, so
+    that no entry made under a patch reaches a later test."""
+    cache = cochains._collapsed_words
+    cache.cache_clear()
+    yield cache
+    cache.cache_clear()
+
+
+def matrix_circle_operation(seed):
+    """The benchmark's matrix-circle operation: a Psi_nl(2,2) trial and an
+    inner-split trial (n = l = 2) on 3x3 matrices; its context."""
+    ctx = TermCounter(random_matrix_context(random.Random(seed), 2, 3))
+    assert verify_cocycle(build_Psi_nl(2, 2), ctx, trials=1, seed=seed).passed
+    assert verify_inner_tilde_cocycle(2, 2, ctx, trials=1, seed=seed).passed
+    return ctx
+
+
+def test_one_matrix_circle_operation_takes_fewer_products(monkeypatch, word_cache):
+    """One matrix-circle operation: 1,968 product terms with one word per
+    class of the differential descriptors, 9,744 with every word.  The
+    one-pass kernel whose argument slots took brackets formed 9,252 and
+    16,016."""
     counts = []
     for collapse in (True, False):
         if not collapse:
+            # the cache holds the collapsed words of the first pass
+            word_cache.cache_clear()
             monkeypatch.setattr(cochains, "_class_words", list)
-        ctx = TermCounter(random_matrix_context(random.Random(0), 2, 3))
-        assert verify_cocycle(build_Psi_nl(2, 2), ctx, trials=1, seed=0).passed
-        assert verify_inner_tilde_cocycle(2, 2, ctx, trials=1, seed=0).passed
-        counts.append(ctx.terms)
+        counts.append(matrix_circle_operation(0).terms)
     assert counts == [1_968, 9_744]
+
+
+def test_equal_cochains_share_one_cache_entry(word_cache):
+    """``verify_inner_tilde_cocycle`` rebuilds Psi0, its inner expansion and
+    the two adjacency parts on every call; the second call finds all four
+    differentials in the cache, since the key is the cochain's value."""
+    ctx = random_matrix_context(random.Random(0), 2, 3)
+    assert verify_inner_tilde_cocycle(2, 2, ctx, trials=1, seed=0).passed
+    cold = word_cache.cache_info()
+    assert (cold.hits, cold.misses, cold.currsize) == (0, 4, 4)
+    assert verify_inner_tilde_cocycle(2, 2, ctx, trials=1, seed=1).passed
+    warm = word_cache.cache_info()
+    assert (warm.hits, warm.misses, warm.currsize) == (4, 4, 4)
+
+
+def test_warm_operation_collapses_no_word(monkeypatch, word_cache):
+    """A second matrix-circle operation, on other matrices, calls neither
+    ``orbit_class`` nor ``build_differential``, and adds no cache entry."""
+    calls = {"orbit_class": 0, "build_differential": 0}
+
+    def counted(name):
+        fn = getattr(cochains, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(cochains, name, counted(name))
+    matrix_circle_operation(0)
+    assert calls["orbit_class"] > 0 and calls["build_differential"] == 5
+    size = word_cache.cache_info().currsize
+    calls.update(dict.fromkeys(calls, 0))
+    matrix_circle_operation(1)
+    assert calls == {"orbit_class": 0, "build_differential": 0}
+    assert word_cache.cache_info().currsize == size
+
+
+def test_invalid_cochains_raise_on_every_call(word_cache):
+    """Errors are not cached: a context with another number of derivations
+    is refused after a cached success on the same cochain, and a wrapped
+    word or a bad derivation-slot permutation on every call, for the
+    cochain and for its differential."""
+    ctx = ctx_for(2)
+    args = sample_args(ctx, 5, random.Random(8))
+    psi = build_Psi_n1(2)
+    assert ce_differential(psi, ctx, args[:4]) == 0
+    evaluate(psi, ctx, args[:3])
+    wrong_n = ctx_for(3)
+    wrapped = build_S_tilde(enumerate_a_even(2, 1)[0])
+    bad = CochainDescriptor(3, 2, (TermWord(Fraction(1), (
+        deriv(1, 1), plain(2), deriv(3, 1))),))
+    size = word_cache.cache_info().currsize
+    for cochain, c, match in ((psi, wrong_n, "derivations"),
+                              (wrapped, ctx, "symbolic-only"),
+                              (bad, ctx, "permutation")):
+        for _ in range(2):
+            with pytest.raises(ValueError, match=match):
+                evaluate(cochain, c, args[:cochain.arity])
+            with pytest.raises(ValueError, match=match):
+                ce_differential(cochain, c, args[:cochain.arity + 1])
+    assert word_cache.cache_info().currsize == size
+
+
+def test_kernel_words_hands_out_copies(word_cache):
+    """Changing the list ``kernel_words`` returns leaves the cached words,
+    and so the next call's list, as they were."""
+    ctx = SimpleNamespace(n=2)
+    psi = build_Psi_nl(2, 2)
+    for differential in (False, True):
+        first = kernel_words(psi, ctx, differential)
+        expected = list(first)
+        first.clear()
+        assert kernel_words(psi, ctx, differential) == expected
+
+
+def test_word_cache_stays_bounded(word_cache):
+    """More distinct cochains than the cache holds leave it at its size."""
+    ctx = SimpleNamespace(n=2)
+    size = word_cache.cache_info().maxsize
+    for k in range(1, size + 9):
+        word = TermWord(Fraction(k), (deriv(1, 1), deriv(2, 2), plain(3)))
+        kernel_words(CochainDescriptor(3, 2, (word,)), ctx)
+    assert word_cache.cache_info().currsize == size
+
+
+def _fault(fn):
+    """The message of the window fault ``fn()`` raises, or None."""
+    try:
+        fn()
+    except InsufficientWindowError as exc:
+        return str(exc)
+    return None
+
+
+@pytest.mark.parametrize("depth", [0, 1, 2, 3])
+def test_differential_fault_repeats_on_a_warm_cache(depth, word_cache):
+    """On windows too shallow for the residue, ``ce_differential`` of
+    Psi_n1(2) raises the same fault on a cold cache and on a warm one: that
+    of the first faulting kept word of the differential descriptor."""
+    ctx = make_psido_context(1, depth)
+    psi = build_Psi_n1(2)
+    faults = 0
+    for seed in range(12):
+        args = sample_args(ctx, psi.arity + 1, random.Random(seed))
+        word_cache.cache_clear()
+        cold = _fault(lambda: ce_differential(psi, ctx, args))
+        warm = _fault(lambda: ce_differential(psi, ctx, args))
+        kept = kernel_words(psi, ctx, differential=True)
+        alone = (_fault(lambda: cochains._alternate([w], ctx, args, psi.n))
+                 for w in kept)
+        assert cold == warm == next((m for m in alone if m), None)
+        faults += cold is not None
+    assert faults > 0
 
 
 def test_cancelling_class_coefficients_take_no_product():
