@@ -44,10 +44,13 @@ alternation-orbit classes (``words.orbit_class``): the trace is cyclic, so
 the alternated value of a word depends only on its class under relabelling
 and rotation, up to a sign.  A word whose class is 0 is dropped, and the
 first word of each class stands for the others with the signed sum of
-their coefficients.  The word kept is a word of the cochain, never the
-class's canonical rotation, so its windows, demand floors and costs are
-those of a real word.  A window fault is therefore the first faulting kept
-word's; a dropped word cannot fault, and where it would have, the value
+their coefficients.  The kept words are then all rotated by the one r of
+fewest product terms by a closed-form count (``_rotate``, ``_walk_cost``;
+ties to the smallest r, so words that gain nothing stay as written).  A
+rotation keeps every path's window, since a product's window
+max_i(dmin_i + sum_{j != i} dtop_j) is symmetric in its factors, and the
+words keep their order, so a window fault is the first faulting kept
+word's.  A dropped word cannot fault, and where it would have, the value
 returned is exact, since the kept word's trace is exact on its window and
 cyclicity holds on exact symbols.  The collapsed words are computed once
 per cochain value and kept in a bounded cache (``kernel_words``); only the
@@ -78,6 +81,7 @@ import functools
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import combinations
+from math import comb
 from operator import add
 
 from .combinatorics import (
@@ -635,8 +639,8 @@ def _class_words(words) -> list:
     A word whose class is 0 is dropped; the first word of each class, in
     the given order, stands for it, with the sum over the class's words of
     coeff times sign_w times its own sign; a class whose sum is 0 is
-    dropped.  The words kept are words of the cochain, so their windows,
-    demand floors and costs are those of real words.
+    dropped.  The words kept are words of the cochain as written;
+    ``_collapsed_words`` then rotates them.
     """
     reps = {}  # class -> [coeff, slots, sign of the first word]
     for coeff, slots in words:
@@ -674,10 +678,46 @@ def checked_words(cochain) -> list:
     return words
 
 
+def _rotate(coeff, slots, r: int) -> tuple:
+    """The (coeff, slots) word as ``slots[r:] + slots[:r]``, argument labels
+    renumbered 1..m in the new order and derivation slots kept.  The trace
+    is cyclic, so only the relabelling changes the alternated value: by
+    (-1)^(r'(m - r')), the sign of a cyclic shift by r' moved arguments."""
+    rotated, m = [], 0
+    for s in slots[r:] + slots[:r]:
+        if s[0] != "g":
+            m += 1
+            s = (s[0], m, *s[2:])
+        rotated.append(s)
+    moved = sum(s[0] != "g" for s in slots[:r])
+    return (-coeff if moved * (m - moved) % 2 else coeff), tuple(rotated)
+
+
+def _walk_cost(words, nargs: int, nd: int) -> int:
+    """The product terms the kernel forms walking ``words`` on an ungraded
+    backend.  Each distinct signature prefix ending at a slot other than the
+    first and the last has C(nargs, a) x C(nd, e) states, a arguments and e
+    derivations used, each the ``mul_sum`` of (a, or 1 for a slot taking no
+    argument) x C(e, k) steps, k the slot's derivation count."""
+    prefixes, cost = set(), 0
+    for _, slots in words:
+        prefix, a, e = (), 0, 0
+        for pos, s in enumerate(slots[:-1]):
+            k, takes_arg = len(_dslots(s)), s[0] != "g"
+            a, e = a + takes_arg, e + k
+            prefix += ((s[0], k),)
+            if pos and prefix not in prefixes:
+                prefixes.add(prefix)
+                cost += (comb(nargs, a) * comb(nd, e)
+                         * (a if takes_arg else 1) * comb(e, k))
+    return cost
+
+
 @functools.lru_cache(maxsize=64)
 def _collapsed_words(cochain, differential: bool) -> tuple:
     """The ``_class_words`` of a validated ``cochain``, or of
-    ``build_differential(cochain)``, as a tuple no caller can change.
+    ``build_differential(cochain)``, all rotated by the smallest r of least
+    ``_walk_cost``, as a tuple no caller can change.
 
     The key is the cochain's value: descriptors and inner-expanded cochains
     are frozen, so one rebuilt on every call (as ``verify_inner_tilde_cocycle``
@@ -687,14 +727,21 @@ def _collapsed_words(cochain, differential: bool) -> tuple:
     """
     words = checked_words(cochain)
     if differential:
-        words = checked_words(build_differential(cochain))
-    return tuple(_class_words(words))
+        cochain = build_differential(cochain)
+        words = checked_words(cochain)
+    words = _class_words(words)
+    length = max((len(slots) for _, slots in words), default=1)
+    rotations = [[_rotate(*w, r) for w in words] for r in range(length)]
+    return tuple(min(rotations,
+                     key=lambda ws: _walk_cost(ws, cochain.arity, cochain.n)))
 
 
 def kernel_words(cochain, ctx, differential: bool = False) -> list:
     """The words the kernel walks for ``cochain``, or with ``differential``
-    for ``build_differential(cochain)``: validated for evaluation on ``ctx``
-    and collapsed to one word per alternation-orbit class (``_class_words``).
+    for ``build_differential(cochain)``: validated for evaluation on ``ctx``,
+    collapsed to one word per alternation-orbit class (``_class_words``)
+    and rotated by the r of fewest predicted product terms
+    (``_collapsed_words``).
 
     The collapsed words are computed once per cochain value, in a bounded
     cache (``_collapsed_words``); the check against ``ctx`` runs on every

@@ -60,16 +60,56 @@ class TermCounter:
 def test_kernel_takes_each_q_pair_once():
     """The product terms of d(Psi_n1(4)) on 4x4 matrices and of twelve
     d(Psi_n1(2)) trials on depth-12 psido symbols, the differential
-    evaluated as its class-collapsed descriptor and a Q slot taking each
-    derivation pair in ascending order only.  The one-pass kernel whose
-    argument slots took brackets formed 15,000 and 1,296 (both Q orders,
-    halved, 20,220 and 1,728)."""
+    evaluated as its class-collapsed descriptor at the rotation of fewest
+    predicted terms and a Q slot taking each derivation pair in ascending
+    order only.  Walked as written, the class words formed 4,920 and 864;
+    the one-pass kernel whose argument slots took brackets 15,000 and 1,296
+    (both Q orders, halved, 20,220 and 1,728)."""
     ctx = TermCounter(random_matrix_context(random.Random(0), 4, 4))
     assert ce_differential(build_Psi_n1(4), ctx, sample_args(ctx, 6, random.Random(1))) == 0
-    assert ctx.terms == 4_920
+    assert ctx.terms == 3_630
     ctx = TermCounter(make_psido_context(1, depth=12))
     assert verify_cocycle(build_Psi_n1(2), ctx, trials=12, seed=0).passed
-    assert ctx.terms == 864
+    assert ctx.terms == 720
+
+
+class ZeroContext(SimpleNamespace):
+    """An ungraded context whose elements, products and traces are all 0:
+    the kernel's walk there does not depend on the values, so it forms the
+    product terms a matrix context gets, at no algebra cost."""
+
+    def order(self, a):
+        return None
+
+    def __getattr__(self, attr):
+        return lambda *args: 0
+
+
+def test_predicted_walk_cost_is_the_measured_one():
+    """The product terms ``_walk_cost`` predicts for the words the kernel
+    walks are those it forms, and no more than the class words as written
+    (r = 0) would take: d(Psi_n1(n)) for n = 2..6, d(Psi_nl(2,2)),
+    Psi_n1(4), and the inner expansion of Psi0(2,2) and its differential."""
+    inner = expand_inner(build_Psi0(2, 2))
+    cases = [(build_Psi_n1(n), True) for n in range(2, 7)]
+    cases += [(build_Psi_nl(2, 2), True), (build_Psi_n1(4), False),
+              (inner, False), (inner, True)]
+    measured = []
+    for cochain, differential in cases:
+        ctx = TermCounter(ZeroContext(n=cochain.n))
+        args = (0,) * (cochain.arity + differential)
+        if differential:
+            ce_differential(cochain, ctx, args)
+        else:
+            evaluate(cochain, ctx, args)
+        source = cochains.build_differential(cochain) if differential else cochain
+        as_written = cochains._class_words(cochains.checked_words(source))
+        predicted = cochains._walk_cost(kernel_words(cochain, ctx, differential),
+                                        source.arity, source.n)
+        assert predicted == ctx.terms
+        assert predicted <= cochains._walk_cost(as_written, source.arity, source.n)
+        measured.append(ctx.terms)
+    assert measured == [48, 440, 3_630, 27_867, 201_712, 540, 1_880, 170, 188]
 
 
 def test_ce_differential_takes_no_bracket():
@@ -98,19 +138,33 @@ def test_differential_descriptor_collapses_to_few_classes():
                       (368, 11)]
 
 
+def _rotated(word, r):
+    """A word of argument slots only, as ``slots[r:] + slots[:r]`` written
+    out by hand: argument labels renumbered 1..m in the new order,
+    derivation slots kept, and the sign (-1)^(r(m - r)) of the
+    relabelling."""
+    rotated = word.slots[r:] + word.slots[:r]
+    slots = tuple((s[0], pos, *s[2:]) for pos, s in enumerate(rotated, start=1))
+    return (-1) ** (r * (len(slots) - r)) * word.coeff, slots
+
+
 def test_kernel_walks_one_word_per_orbit_class():
     """The words the kernel keeps: Psi_nl(2,2), the inner expansion of
     Psi0(2,2) and its two adjacency parts collapse; each Psi_n1(n) word is a
-    class of its own and stays as written."""
+    class of its own.  Every kept word is a word as written, rotated by the
+    one r the cochain's words share: none for Psi_n1(2), two slots for
+    Psi_n1(3) and (4), and n slots, bringing the last plain slot first, for
+    Psi_n1(n), n = 5..7."""
     ctx = SimpleNamespace(n=2)
     inner = expand_inner(build_Psi0(2, 2))
     counts = [(len(c.words), len(kernel_words(c, ctx)))
               for c in (build_Psi_nl(2, 2), inner, *split_adjacency(inner))]
     assert counts == [(5, 3), (12, 3), (10, 2), (2, 1)]
-    for n in range(2, 8):
+    shifts = {2: 0, 3: 2, 4: 2, 5: 5, 6: 6, 7: 7}
+    for n, r in shifts.items():
         psi = build_Psi_n1(n)
         assert kernel_words(psi, SimpleNamespace(n=n)) == [
-            (w.coeff, w.slots) for w in psi.words]
+            _rotated(w, r) for w in psi.words]
 
 
 @pytest.fixture
@@ -133,10 +187,11 @@ def matrix_circle_operation(seed):
 
 
 def test_one_matrix_circle_operation_takes_fewer_products(monkeypatch, word_cache):
-    """One matrix-circle operation: 1,968 product terms with one word per
-    class of the differential descriptors, 9,744 with every word.  The
-    one-pass kernel whose argument slots took brackets formed 9,252 and
-    16,016."""
+    """One matrix-circle operation: 1,426 product terms with one word per
+    class of the differential descriptors, 7,664 with every word, each at
+    the rotation of fewest predicted terms.  Walked as written they formed
+    1,968 and 9,744; the one-pass kernel whose argument slots took brackets
+    9,252 and 16,016."""
     counts = []
     for collapse in (True, False):
         if not collapse:
@@ -144,7 +199,7 @@ def test_one_matrix_circle_operation_takes_fewer_products(monkeypatch, word_cach
             word_cache.cache_clear()
             monkeypatch.setattr(cochains, "_class_words", list)
         counts.append(matrix_circle_operation(0).terms)
-    assert counts == [1_968, 9_744]
+    assert counts == [1_426, 7_664]
 
 
 def test_equal_cochains_share_one_cache_entry(word_cache):

@@ -14,6 +14,8 @@ one by one, values and window faults alike; ``evaluate`` and
 ``ce_differential``, which walk one word per alternation-orbit class,
 against that per-word sum over the words as written and against the naive
 oracle, on words with twins in their class whose coefficients may cancel;
+the class words walked at every rotation against the walk as written, the
+naive oracle and, on psido windows, the same fault;
 ``trace_mul`` against the trace
 of the full product on both backends, including where the psido window is
 too shallow; ``mul_sum`` against the signed sum of single products on both
@@ -44,8 +46,11 @@ from tracelift.cochains import (
     ExpandedWord,
     TermWord,
     _alternate,
+    _class_words,
+    _rotate,
     build_Psi_n1,
     build_differential,
+    checked_words,
     descriptor_from_dict,
     descriptor_to_dict,
     evaluate,
@@ -516,6 +521,31 @@ def test_class_reduction_matches_the_raw_words_and_the_oracle(case):
         assert got == want
         if naive is not None and not isinstance(naive, str):
             assert got == naive
+
+
+@settings(max_examples=40, deadline=None)
+@given(reduction_cases())
+@example((_CANCELLING, _CANCELLING, None, 1))
+@example((_INNER, _INNER_SOURCE, None, 1))
+@example((_REST_APART, _REST_APART, 4, 0))
+def test_every_rotation_of_the_class_words_walks_alike(case):
+    """The class words of a cochain and of its differential descriptor,
+    all rotated by one r (``_rotate``), walk to the value of the words as
+    written (r = 0), for every r, and that value is the naive oracle's; on
+    psido windows a rotation faults where r = 0 does, with its message."""
+    cochain, source, depth, seed = case
+    ctx, args = _reduction_context(cochain, depth, seed)
+    values = []
+    for c, a in ((cochain, args[:-1]), (build_differential(cochain), args)):
+        words = _class_words(checked_words(c))
+        written = _outcome(lambda: _alternate(words, ctx, a, c.n))
+        event("fault" if isinstance(written, str) else "nonzero" if written else "zero")
+        for r in range(1, len(words[0][1]) if words else 0):
+            rotated = [_rotate(*w, r) for w in words]
+            assert _outcome(lambda: _alternate(rotated, ctx, a, c.n)) == written
+        values.append(written)
+    if source is not None and depth is None:
+        assert values[0] == naive_evaluate(source, ctx, args[:-1])
 
 
 @st.composite

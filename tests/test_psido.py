@@ -6,7 +6,13 @@ from fractions import Fraction
 
 import pytest
 
-from tracelift.cochains import CochainDescriptor, TermWord, build_Psi_n1, evaluate
+from tracelift.cochains import (
+    CochainDescriptor,
+    TermWord,
+    build_Psi_n1,
+    evaluate,
+    kernel_words,
+)
 from tracelift.cohomology import ce_differential, sample_args
 from tracelift.naive import naive_evaluate
 from tracelift.psido import (
@@ -217,15 +223,21 @@ def test_kernel_truncation_keeps_psi_n1_values(depth):
     assert any(values)
 
 
-@pytest.mark.parametrize("slots,rests", [
-    ((("d", 1, 1), ("p", 2), ("p", 3), ("d", 4, 2)), [(3,), (1,)]),
-    ((("p", 1), ("p", 2), ("q", 3, 1, 2)), [(1,)]),
+@pytest.mark.parametrize("slots,walked,rests", [
+    ((("d", 1, 1), ("p", 2), ("p", 3), ("d", 4, 2)),
+     (("p", 1), ("p", 2), ("d", 3, 2), ("d", 4, 1)), [(2,), (1,)]),
+    ((("p", 1), ("p", 2), ("q", 3, 1, 2)),
+     (("p", 1), ("p", 2), ("q", 3, 1, 2)), [(1,)]),
 ], ids=["derived", "q-fused"])
-def test_kernel_passes_the_orders_of_the_later_slots(slots, rests):
+def test_kernel_passes_the_orders_of_the_later_slots(slots, walked, rests):
     """Arguments of order 2: a plain slot adds 2, a derived one 1 and a
-    Q-fused one 1 (the commutator series has order -1)."""
+    Q-fused one 1 (the commutator series has order -1).  The derived word
+    is walked rotated by one slot, as (plain, plain, derived, derived), so
+    its floors are 1 + 1 after the second slot and 1 after the third; the
+    Q-fused word is walked as written."""
     ctx = RecordingContext(1, 12)
     desc = CochainDescriptor(len(slots), 2, (TermWord(Fraction(1), slots),))
+    assert [w for _, w in kernel_words(desc, ctx)] == [walked]
     args = [mono(i, 2) for i in range(len(slots))]
     evaluate(desc, ctx, args)
     assert list(dict.fromkeys(ctx.rests)) == rests
