@@ -478,7 +478,9 @@ def _alternate(words, ctx, args, nd: int):
     unsummed list of them.  A step's sign is the parity of the used
     elements greater than each new choice, and a Q slot takes each
     derivation pair once, in ascending order; the last slot is fused into
-    ``ctx.trace_mul``.
+    ``ctx.trace_mul``.  Each factor is also prepared once per call as a right
+    operand of ``mul_sum`` (``ctx.operand``); first-slot summands and traces
+    take it plain.
 
     On a windowed backend a sum keeps the shallowest window of its terms, so
     the fused trace faults exactly when the trace of some single path would;
@@ -518,6 +520,8 @@ def _alternate(words, ctx, args, nd: int):
             memo[key] = f
         return f
 
+    operand = functools.cache(lambda *key: ctx.operand(factor(*key)))
+
     # On a graded backend, the top order of each slot kind: per variable,
     # the largest order of the factors such a slot can take.
     graded = bool(args) and ctx.order(args[0]) is not None
@@ -549,16 +553,16 @@ def _alternate(words, ctx, args, nd: int):
         leaf = leaves.setdefault(key, [0, index])
         leaf[0] += coeff * perm_sign(order)
 
-    def moves(states, step):
+    def moves(states, step, get=factor):
         """Each (state, negate, summands, factor) that ``step`` takes from
-        one of ``states``."""
+        one of ``states``, the factor read through ``get``."""
         kind, nder, _ = step
         options = choices[kind != "g", nder]
         for st, summands in states.items():
             for x, es, bits, gt in options:
                 if not st & bits:
                     neg = (st & gt).bit_count() & 1
-                    yield st | bits, neg, summands, factor(kind, x, es)
+                    yield st | bits, neg, summands, get(kind, x, es)
 
     trace, trace_mul, mul_sum = ctx.trace, ctx.trace_mul, ctx.mul_sum
     total = 0
@@ -578,7 +582,7 @@ def _alternate(words, ctx, args, nd: int):
         for pos in range(depth, len(key) - 1):
             step = key[pos]
             nxt = {}
-            for st, neg, summands, f in moves(states, step):
+            for st, neg, summands, f in moves(states, step, operand if pos else factor):
                 terms = nxt.get(st)
                 if terms is None:
                     terms = nxt[st] = []

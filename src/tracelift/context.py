@@ -12,19 +12,20 @@ of derivations), ``mul``, ``add``, ``sub``, ``scale``, ``bracket``,
 ``trace``, ``elem_is_zero``, ``deriv(d, a)``, ``q(i, j)``, ``is_commuting()``
 (true iff every Q is zero; on a windowed algebra, zero on its window) and
 ``sample(rng)``; ``generator(d)`` where derivations are inner, which the
-inner expansion needs.  Three calls serve the alternation kernel:
-``trace_mul(a, b)``, the trace of a * b without forming it;
-``mul_sum(terms)``, the sum of the products a * b over at least one
-(negate, a, b) term, each negated where asked; and ``order(a)``, the top
-order of ``a`` per variable on a graded algebra, else ``None``.  The kernel
-makes one ``mul_sum`` per state and no ``add``, ``sub`` or ``scale``.
-Where ``order`` is not ``None`` it passes ``mul_sum(terms, rest)``, with
-``rest`` the sum of the orders the state's remaining factors can have, and
-the result needs to be exact only where it can still reach the trace
-(``psido.compose_sum``).  Matrices have no grading: ``order`` is ``None``,
-and ``mul_sum`` is one matrix product, ``matrices.mat_mul_sum``.  A trace
-that the element's truncation window cannot give exactly raises
-``InsufficientWindowError`` (psido symbols; matrices never do).
+inner expansion needs.  Four calls serve the alternation kernel:
+``trace_mul(a, b)``, the trace of a * b without forming it; ``operand(b)``,
+b prepared once as a right factor; ``mul_sum(terms)``, the sum of the
+products a * b over at least one (negate, a, b) term, b prepared, each
+negated where asked; and ``order(a)``, the top order of ``a`` per variable
+on a graded algebra, else ``None``.  The kernel makes one ``mul_sum`` per
+state and no ``add``, ``sub`` or ``scale``.  Where ``order`` is not
+``None`` it passes ``mul_sum(terms, rest)``, with ``rest`` the sum of the
+orders the state's remaining factors can have, and the result needs to be
+exact only where it can still reach the trace (``psido.compose_sum``; there
+``operand`` is the identity).  Matrices have no grading: ``order`` is
+``None``, and ``operand`` and ``mul_sum`` pack rows into integers
+(``matrices``).  A trace that the element's truncation window cannot give
+exactly raises ``InsufficientWindowError`` (psido symbols; matrices never do).
 """
 
 from __future__ import annotations
@@ -71,6 +72,9 @@ class MatrixContext:
 
     def mul_sum(self, terms):
         return mat.mat_mul_sum(terms)
+
+    def operand(self, b):
+        return mat.mat_operand(b)
 
     def add(self, a, b):
         return mat.mat_add(a, b)

@@ -423,6 +423,9 @@ class PsiDOContext:
     def mul_sum(self, terms, rest=None):
         return compose_sum(terms, rest)
 
+    def operand(self, b):
+        return b
+
     def order(self, a):
         return a.dtop
 

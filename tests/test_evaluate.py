@@ -22,7 +22,11 @@ from tracelift.cochains import (
     split_adjacency,
 )
 from tracelift.combinatorics import enumerate_a_even
-from tracelift.context import InsufficientWindowError, random_matrix_context
+from tracelift.context import (
+    InsufficientWindowError,
+    MatrixContext,
+    random_matrix_context,
+)
 from tracelift.cohomology import (
     ce_differential,
     sample_args,
@@ -39,15 +43,20 @@ def ctx_for(n, seed=3, commuting=False):
 
 class TermCounter:
     """Forwards to ``ctx`` and counts its ``mul_sum`` calls and their terms,
-    and its ``bracket`` calls."""
+    its ``operand`` preparations and its ``bracket`` calls."""
 
     def __init__(self, ctx):
         self.ctx, self.calls, self.terms, self.brackets = ctx, 0, 0, 0
+        self.operands = 0
 
     def mul_sum(self, terms, *rest):
         self.calls += 1
         self.terms += len(terms)
         return self.ctx.mul_sum(terms, *rest)
+
+    def operand(self, b):
+        self.operands += 1
+        return self.ctx.operand(b)
 
     def bracket(self, a, b):
         self.brackets += 1
@@ -71,6 +80,44 @@ def test_kernel_takes_each_q_pair_once():
     ctx = TermCounter(make_psido_context(1, depth=12))
     assert verify_cocycle(build_Psi_n1(2), ctx, trials=12, seed=0).passed
     assert ctx.terms == 720
+
+
+@pytest.mark.parametrize("cochain, N, operands, terms", [
+    (build_Psi_n1(4), 4, 66, 3_630), (build_Psi_nl(2, 2), 3, 24, 540)])
+def test_kernel_prepares_each_factor_once(cochain, N, operands, terms):
+    """The kernel prepares each factor once per call as a right operand:
+    d(Psi_n1(4)) on 4x4 takes 66, 6 arguments each plain, derived by the 4
+    derivations and fused with the 6 Q pairs; d(Psi_nl(2,2)) on 3x3 takes
+    24.  The product terms are those of the unprepared factors."""
+    ctx = TermCounter(random_matrix_context(random.Random(0), cochain.n, N))
+    args = sample_args(ctx, cochain.arity + 1, random.Random(1))
+    assert ce_differential(cochain, ctx, args) == 0
+    assert (ctx.operands, ctx.terms) == (operands, terms)
+
+
+def fraction_matrix(rng, N):
+    """An N x N matrix of entries k/2 and k/3, k in [-3, 3]."""
+    return tuple(tuple(Fraction(rng.randint(-3, 3), rng.choice((2, 3)))
+                       for _ in range(N)) for _ in range(N))
+
+
+def test_kernel_on_fraction_matrices():
+    """On Fraction generators and arguments the packed products keep every
+    value: ``evaluate`` of Psi_n1(3) and of the inner expansion of
+    Psi0(2,1) against the naive oracle, and ``ce_differential`` against
+    the kernel's value of the differential descriptor, 0 for the cocycle
+    Psi_n1(3) and nonzero for the inner expansion."""
+    rng = random.Random(5)
+    psi0 = build_Psi0(2, 1)
+    diffs = []
+    for cochain, oracle in ((build_Psi_n1(3), None), (expand_inner(psi0), psi0)):
+        ctx = MatrixContext([fraction_matrix(rng, 3) for _ in range(cochain.n)])
+        args = [fraction_matrix(rng, 3) for _ in range(cochain.arity + 1)]
+        value = evaluate(cochain, ctx, args[:-1])
+        assert value == naive_evaluate(oracle or cochain, ctx, args[:-1]) != 0
+        diffs.append(ce_differential(cochain, ctx, args))
+        assert diffs[-1] == evaluate(cochains.build_differential(cochain), ctx, args)
+    assert diffs[0] == 0 != diffs[1]
 
 
 class ZeroContext(SimpleNamespace):

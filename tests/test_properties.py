@@ -19,13 +19,15 @@ naive oracle and, on psido windows, the same fault;
 ``trace_mul`` against the trace
 of the full product on both backends, including where the psido window is
 too shallow; ``mul_sum`` against the signed sum of single products on both
-backends, and the psido ``mul_sum`` with a demand floor against the full
-sum; the integer-numerator psido operations against the
-per-contribution ``Fraction`` formulas kept below as the reference; and the
-free-trace layer (integer-numerator expansions, fraction-free span solve)
-against ``Fraction`` references kept below as well; alternation-orbit
-classes against the full expansion; and the symbolic expansion, evaluated
-word by word on matrices, against the kernel.
+backends (on matrices also against the row-by-column product kept below as
+the reference, and at the edge of its packed field width), and the psido
+``mul_sum`` with a demand floor against the full sum; the integer-numerator
+psido operations against the per-contribution ``Fraction`` formulas kept
+below as the reference; and the free-trace layer (integer-numerator
+expansions, fraction-free span solve) against ``Fraction`` references kept
+below as well; alternation-orbit classes against the full expansion; and
+the symbolic expansion, evaluated word by word on matrices, against the
+kernel.
 """
 
 import dataclasses
@@ -35,6 +37,7 @@ import json
 import math
 import random
 from fractions import Fraction
+from operator import mul
 
 import pytest
 from hypothesis import event, example, given, settings
@@ -74,9 +77,11 @@ from tracelift.matrices import (
     mat_add,
     mat_mul,
     mat_mul_sum,
+    mat_operand,
     mat_sub,
     mat_trace,
     mat_trace_mul,
+    zero,
 )
 from tracelift.naive import naive_evaluate
 from tracelift.psido import (
@@ -587,25 +592,74 @@ def test_matrix_trace_mul_is_trace_of_product(ab):
     assert mat_trace_mul(a, b) == mat_trace(mat_mul(a, b))
 
 
+def reference_mul_sum(terms):
+    """The row-by-column ``mat_mul_sum`` that packed rows replaced, kept as
+    the reference: the rows of the a's laid side by side times the columns
+    of the b's stacked, each b's sign folded into its columns."""
+    rows = [[] for _ in terms[0][1]]
+    cols = [[] for _ in terms[0][2][0]]
+    for neg, a, b in terms:
+        for row, ra in zip(rows, a):
+            row += ra
+        for col, cb in zip(cols, zip(*b)):
+            col += [-x for x in cb] if neg else cb
+    return tuple(tuple(sum(map(mul, ra, cb)) for cb in cols) for ra in rows)
+
+
 @st.composite
 def signed_products(draw):
-    """1-12 (negate, a, b) terms of N x N matrices, N in 1-4, with integer
-    or Fraction entries; sometimes every term negated."""
-    N = draw(st.integers(1, 4))
-    entries = st.one_of(st.integers(-5, 5), coefficients)
-    matrix = st.tuples(*[st.tuples(*[entries] * N)] * N)
+    """1-12 (negate, a, b) terms of N x N matrices, N in 1-6, with entries
+    in [-5, 5], of 2^64 to 2^200 either sign, or Fraction, or all zero;
+    sometimes every term negated."""
+    N = draw(st.integers(1, 6))
+    big = st.tuples(st.integers(2**64, 2**200), st.sampled_from([1, -1]))
+    entries = st.one_of(st.integers(-5, 5), big.map(lambda xs: xs[0] * xs[1]),
+                        coefficients)
+    matrix = st.one_of(st.just(zero(N)), st.tuples(*[st.tuples(*[entries] * N)] * N))
     negs = st.just(True) if draw(st.booleans()) else st.booleans()
     return draw(st.lists(st.tuples(negs, matrix, matrix), min_size=1, max_size=12))
 
 
 @settings(max_examples=80, deadline=None)
 @given(signed_products())
+# a Fraction only in the row of the smaller sum
+@example([(False, ((Fraction(1, 2), 0), (5, 5)), ((1, 0), (0, 1)))])
 def test_matrix_mul_sum_is_signed_sum_of_products(terms):
-    N = len(terms[0][1])
-    want = tuple(tuple(0 for _ in range(N)) for _ in range(N))
+    want = zero(len(terms[0][1]))
     for neg, a, b in terms:
         want = (mat_sub if neg else mat_add)(want, mat_mul(a, b))
-    assert mat_mul_sum(terms) == want
+    assert reference_mul_sum(terms) == want
+    assert mat_mul_sum([(neg, a, mat_operand(b)) for neg, a, b in terms]) == want
+
+
+@pytest.mark.parametrize("neg", [False, True])
+@pytest.mark.parametrize("x, width", [(2**15 - 1, 16), (2**15, 32),
+                                      (2**63 - 1, 64), (2**63, 80)])
+def test_matrix_mul_sum_field_width_at_the_bound(x, width, neg):
+    """Two terms whose bound, max_r sum_t |a[r][t]| * max |b| = x, is
+    reached by the entries +-x of the sum: at x = 2^(B-1) - 1 the fields
+    are B bits wide, one above it they widen by 16, and the low field's
+    -x borrows from the next either way."""
+    b = mat_operand(((1, -1), (-1, 1)))
+    terms = [(neg, ((x - 1, 0), (0, 0)), b), (neg, ((1, 0), (0, 0)), b)]
+    s = -1 if neg else 1
+    assert mat_mul_sum(terms) == ((s * x, -s * x), (0, 0))
+    assert set(b[3]) == {width}
+
+
+def test_matrix_operand_packed_at_two_widths():
+    """One operand packed at two widths, for a sum of small entries and
+    then for one of large entries, gives the reference sum at both, and
+    the narrow packing again when reused."""
+    b = ((2, -3, 0), (1, 1, -5), (0, 4, 1))
+    op = mat_operand(b)
+    small = [(False, ((1, 2, 3), (-1, 0, 2), (0, 0, 1)), b)]
+    large = small + [(True, tuple(tuple(2**40 * x for x in row) for row in b), b)]
+    sums = []
+    for terms in (small, large, small):
+        assert mat_mul_sum([(neg, a, op) for neg, a, _ in terms]) == reference_mul_sum(terms)
+        sums.append(len(op[3]))
+    assert sums == [1, 2, 2]
 
 
 @st.composite
